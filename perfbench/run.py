@@ -3,15 +3,16 @@
 
 Usage (from the root of a checkout)::
 
-    python3 perfbench/run.py --workload attack --seed 7 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload attack --seed 7 --seconds 36 --trace 0
 
 ``--trace 0`` measures with tracing off and reports the end-to-end
 metrics.  ``--trace 1`` runs the same measured phase untraced and then
 traced, checks that both give the same outcome digest, and reports the
 per-layer metrics (spans around the benchmark's calls into each layer)
-plus the tracing overhead.  On ``attack-counter`` and ``defended`` the
-traced run also re-runs its units under the paired control (the serial
-RNG contract; no defense) to price the mechanism.
+plus the tracing overhead.  Each workload carries its own paired
+controls: ``attack`` runs every pair under the serial and the counter RNG
+contract, ``construct`` runs undefended constructions around its defended
+trials.
 
 Human-readable lines come first; the last line of standard output is the
 JSON result.  The exit code is 1 when a correctness check fails and 2
@@ -117,7 +118,7 @@ PER_LAYER = _per_layer_units()
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", required=True,
-                   choices=("attack", "attack-counter", "construct", "defended"))
+                   choices=("attack", "construct"))
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seconds", type=float, required=True,
                    help="target host seconds of the measured phase")
@@ -217,7 +218,7 @@ def _ratio(a: float, b: float) -> float:
     return a / b if b else 0.0
 
 
-def per_layer(workload, untraced, traced, control, setup):
+def per_layer(workload, untraced, traced, setup, grid):
     stages = traced.tracer.by_name()
 
     def stage(name):
@@ -278,30 +279,36 @@ def per_layer(workload, untraced, traced, control, setup):
         for s in MACHINE_STAGES:
             v[f"mem.{s}.{counter}"] = stage(s).counters[counter]
 
-    # Paired controls (traced runs of attack-counter and defended only).
+    # Paired controls, from units of the same run.
     for name in DEFENSES + ("base",):
         v[f"defense.{name}.accesses_per_s"] = 0.0
     for name in DEFENSES:
         v[f"defense.{name}.cost_x"] = 0.0
     for s in ("evset", "scan", "collect", "total"):
         v[f"counter.{s}.cost_x"] = 0.0
-    if workload == "defended":
-        base = _spans_under(control.tracer, "defense.none", "evset")
+    if workload == "construct":
+        base = _spans_under(traced.tracer, "defense.none", "evset")
         v["defense.base.accesses_per_s"] = base.accesses_per_s
         for name in DEFENSES:
             st = _spans_under(traced.tracer, f"defense.{name}", "evset")
             v[f"defense.{name}.accesses_per_s"] = st.accesses_per_s
             v[f"defense.{name}.cost_x"] = _ratio(st.ns_per_access, base.ns_per_access)
-    elif workload == "attack-counter":
-        serial = control.tracer.by_name()
+    elif workload == "attack":
         for s in ("evset", "scan", "collect"):
-            if s in stages and s in serial:
-                v[f"counter.{s}.cost_x"] = _ratio(
-                    stages[s].ns_per_access, serial[s].ns_per_access)
-        v["counter.total.cost_x"] = _ratio(
-            traced.wall_s / max(1, sum(o.accesses for o in outs)),
-            control.wall_s / max(1, sum(o.accesses for o in control.outcomes)),
-        )
+            counter = _spans_under(traced.tracer, "rng.counter", s)
+            serial = _spans_under(traced.tracer, "rng.serial", s)
+            v[f"counter.{s}.cost_x"] = _ratio(counter.ns_per_access,
+                                              serial.ns_per_access)
+        # Whole pairs, untraced: host seconds per simulated access.
+        per_mode = {}
+        for rec in untraced.records:
+            if rec.ok:
+                mode = grid[rec.index][0].rng_mode
+                wall, accesses = per_mode.get(mode, (0.0, 0))
+                per_mode[mode] = (wall + rec.elapsed_s, accesses + rec.value.accesses)
+        if len(per_mode) == 2:
+            v["counter.total.cost_x"] = _ratio(
+                _ratio(*per_mode["counter"]), _ratio(*per_mode["serial"]))
     return v
 
 
@@ -331,32 +338,38 @@ def attribution_table(measured, setup) -> str:
 
 
 def check(measured, label: str, problems):
+    """Add to ``problems`` what ``measured`` got wrong.
+
+    A unit that raised is a problem too: every unit is deterministic and
+    none is expected to fail, and a run with failed units would report
+    its metrics over less work.
+    """
+    if measured.failed:
+        problems.append(f"{label}: {measured.failed} of {len(measured.records)} "
+                        "units failed")
     for out in measured.outcomes:
+        problems.extend(f"{label}: {p}" for p in out.problems)
         for b in out.bulks:
             if not b.ok:
                 problems.append(
                     f"{label}: {b.reported_valid} sets reported valid, "
-                    f"{b.rechecked_valid} congruent on recheck")
-        for true_bits, recovered, errors in out.scores:
-            if not 0 <= errors <= recovered <= true_bits:
-                problems.append(f"{label}: impossible score {true_bits}/{recovered}/{errors}")
+                    f"{b.rechecked_valid} congruent on recheck, "
+                    f"{b.mismatched} with other set indices than the slice hash gives")
 
 
 def run(args, wl) -> int:
     scale = wl.SCALES[args.size]
     facts = host_facts()
     print("host: " + " ".join(f"{k}={v}" for k, v in facts.items()))
-    n_units = max(1, round(args.seconds / scale.unit_s[args.workload]))
-    print(f"workload={args.workload} seed={args.seed} seconds={args.seconds:g} "
-          f"trace={args.trace} size={args.size} units={n_units}")
-
-    setup = wl.setup(args.workload, scale, args.seed, n_units)
+    setup = wl.setup(args.workload, scale, args.seed, args.seconds)
     plan = setup.plan
+    print(f"workload={args.workload} seed={args.seed} seconds={args.seconds:g} "
+          f"trace={args.trace} size={args.size} units={len(plan.grid)}")
     problems = []
     if len(set(setup.digests)) != 1:
         problems.append(f"set-up is not deterministic: {setup.digests}")
 
-    untraced = wl.measure(plan.fn, plan.grid, args.workload, traced=False)
+    untraced = wl.measure(plan.grid, args.workload, traced=False)
     check(untraced, "untraced", problems)
     for rec in untraced.records:
         if not rec.ok:
@@ -367,25 +380,22 @@ def run(args, wl) -> int:
                 f"{out.accesses} accesses")
         if "scan" in out.outcome:
             scan = out.outcome["scan"]
-            line += (f", target {'found' if scan['found'] else 'not found'} after "
+            state = ("found" if out.found else
+                     "misidentified" if scan["found"] else "not found")
+            line += (f", target {state} after "
                      f"{scan['sets']} sets, {len(out.outcome.get('traces', []))} traces")
         print(line)
     digest = untraced.digest()
     print(f"outcome digest {digest}")
 
     if args.trace:
-        traced = wl.measure(plan.fn, plan.grid, args.workload, traced=True)
+        traced = wl.measure(plan.grid, args.workload, traced=True)
         check(traced, "traced", problems)
         if traced.digest() != digest:
             problems.append(
                 f"traced digest {traced.digest()} != untraced {digest}")
-        control = None
-        if plan.control is not None:
-            control = wl.measure(plan.fn, plan.control, args.workload + "-control",
-                                 traced=True)
-            check(control, "control", problems)
         print(attribution_table(traced, setup))
-        values = per_layer(args.workload, untraced, traced, control, setup)
+        values = per_layer(args.workload, untraced, traced, setup, plan.grid)
         units = PER_LAYER
     else:
         values = end_to_end(untraced, setup)

@@ -115,3 +115,108 @@ def test_fails_without_a_result_when_the_simulator_is_absent(tmp_path):
                   "--trace", "0", cwd=tmp_path)
     assert proc.returncode != 0
     assert '"correct"' not in proc.stdout
+
+
+# -- The correctness checks fail the run -------------------------------------------
+
+
+def _tiny_main(workload, capsys):
+    """``run.main`` in this process on a tiny run; (exit code, JSON result)."""
+    code = run.main(["--workload", workload, "--seed", "3", "--seconds", "1",
+                     "--trace", "0", "--size", "tiny"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    return code, json.loads(lines[-1]), "\n".join(lines)
+
+
+def test_corrupted_set_index_fails_the_run(monkeypatch, capsys):
+    real = workloads.bulk_construct_page_offset
+
+    def corrupting(ctx, *args, **kwargs):
+        # A stale memo entry: the simulator reports one address of the first
+        # eviction set in the next set over, so its set looks invalid.
+        bulk = real(ctx, *args, **kwargs)
+        line = ctx.line(bulk.evsets[0].vas[0])
+        hier = ctx.machine.hierarchy
+        hier._sidx_memo[line] = hier.shared_set_index(line) + 1
+        return bulk
+
+    monkeypatch.setattr(workloads, "bulk_construct_page_offset", corrupting)
+    code, result, out = _tiny_main("construct", capsys)
+    assert code == 1 and result["correct"] is False
+    assert "congruent on recheck" in out
+
+
+def test_check_bulk_compares_every_set(monkeypatch):
+    machine, ctx = workloads.build_env(workloads.SCALES["tiny"].construct_env, 3)
+    bulk = workloads.bulk_construct_page_offset(
+        ctx, "bins", 0, workloads.EvsetConfig(budget_ms=100.0))
+    assert workloads.check_bulk(bulk, ctx).ok
+    # Swap the reported indices of two valid sets: the valid count is
+    # unchanged, but each set now reports another set than the hash gives.
+    first, second = bulk.evsets[:2]
+    hier = machine.hierarchy
+    a, b = ctx.true_set_of(first.target_va), ctx.true_set_of(second.target_va)
+    assert a != b
+    for va in first.vas:
+        hier._sidx_memo[ctx.line(va)] = b
+    for va in second.vas:
+        hier._sidx_memo[ctx.line(va)] = a
+    check = workloads.check_bulk(bulk, ctx)
+    assert check.reported_valid == check.rechecked_valid
+    assert check.mismatched == 2 and not check.ok
+
+
+def test_failed_unit_fails_the_run(monkeypatch, capsys):
+    def raising(unit, seed):
+        raise RuntimeError("unit broke")
+
+    monkeypatch.setattr(workloads, "construct_trial", raising)
+    code, result, out = _tiny_main("construct", capsys)
+    assert code == 1 and result["correct"] is False
+    # The defended trials still run; every undefended construction fails.
+    assert 1 <= result["failed"] < result["attempted"]
+    assert "units failed" in out
+
+
+def test_misidentified_target_fails_the_run(monkeypatch, capsys):
+    from repro.core.scanner import ScanResult
+
+    victims = []
+    real_victim = workloads.start_victim
+
+    def capture(machine, seed):
+        victims.append(real_victim(machine, seed))
+        return victims[-1]
+
+    class WrongScanner:
+        """Reports the first eviction set off the target set as the target."""
+
+        def __init__(self, ctx, classifier, cfg):
+            self.ctx = ctx
+
+        def scan(self, evsets, timeout_s):
+            target = self.ctx.machine.hierarchy.shared_set_index(
+                victims[-1].layout.monitored_line)
+            wrong = next(e for e in evsets
+                         if self.ctx.true_set_of(e.target_va) != target)
+            return ScanResult(found=True, evset=wrong, trace=None,
+                              elapsed_cycles=0, sets_scanned=1, sweeps=1)
+
+    monkeypatch.setattr(workloads, "start_victim", capture)
+    monkeypatch.setattr(workloads, "Scanner", WrongScanner)
+    code, result, out = _tiny_main("attack", capsys)
+    assert code == 1 and result["correct"] is False
+    assert "which is not the target set" in out
+
+
+def test_defense_trial_that_skips_a_stage_fails_the_run(monkeypatch, capsys):
+    from repro.defenses import matrix
+
+    def construct_skipped(cfg, seed):
+        matrix.defended_env(cfg.env, seed, cfg.defense, cfg.defense_seed)
+        return matrix.DefenseTrialSample(defense=cfg.defense)
+
+    monkeypatch.setattr(matrix, "defense_trial", construct_skipped)
+    code, result, out = _tiny_main("construct", capsys)
+    assert code == 1 and result["correct"] is False
+    assert "defense_trial made stage calls" in out

@@ -6,7 +6,7 @@ engine's per-trial bookkeeping and its dispatch overhead are part of what
 is measured.  Unit seeds come from ``repro.exec.spec.seed_stream(seed, n,
 tag=workload)``: one benchmark seed fixes every input.
 
-``attack`` / ``attack-counter``
+``attack``
     The §7.3 pipeline on ``cloud-raw``: PageOffset bulk construction,
     PSD scan, signing-trace collection, nonce-bit extraction.  The
     classifier is trained during set-up on a separate training host (the
@@ -14,17 +14,18 @@ tag=workload)``: one benchmark seed fixes every input.
     monitoring budget per pair: it scans until it identifies the target or
     the budget runs out, then spends what is left collecting signings.
     That pins the simulated work of a pair, so host time is comparable
-    across seeds even though the scan's length is geometric.
-    ``attack-counter`` runs ``attack``'s pairs with ``attack``'s classifier
-    on machines under the counter RNG contract.
+    across seeds even though the scan's length is geometric.  Each pair
+    runs twice in a row with the same classifier: under the serial RNG
+    contract and under the counter contract (``memsys.vec``,
+    ``CounterRng``), so each contract is priced against the other on the
+    same seeds and in the same stretch of host time.
 ``construct``
-    Step 1 alone (BinS with L2 filtering) on the exposure-matched
-    ``cloud`` env: no monitor, ``dsp`` or ``ml``.
-``defended``
-    ``repro.defenses.matrix.defense_trial`` under way partitioning
-    (construct + monitor stages, one trial per seed) and one CEASER trial
-    (construct stage, bounded in simulated time).  Every accelerated tier falls back to the scalar path
-    here, and nowhere else.
+    Step 1 (BinS with L2 filtering) on the exposure-matched ``cloud`` env,
+    undefended, plus ``repro.defenses.matrix.defense_trial`` under way
+    partitioning (construct + monitor stages) and under CEASER (construct
+    stage, bounded in simulated time).  Every accelerated tier falls back
+    to the scalar path in the defended trials, and nowhere else.  The
+    undefended constructions run no monitor, ``dsp`` or ``ml``.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from repro.victim import EcdsaVictim, VictimConfig
 
 import tracer
 
-WORKLOADS = ("attack", "attack-counter", "construct", "defended")
+WORKLOADS = ("attack", "construct")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,7 +70,6 @@ class Scale:
 
     attack_env: Any
     construct_env: Any
-    defended_env: Any
     #: Simulated scan + collect budget of one attack pair.
     monitor_budget_ms: float
     #: Decoy sets and oversampled target windows for the offline classifier.
@@ -78,9 +78,12 @@ class Scale:
     #: CEASER defeats construction; these bound its trial in simulated time.
     ceaser_bulk_budget_ms: float
     ceaser_budget_ms: float
-    #: Nominal host seconds of one unit on a 2-core host: ``--seconds``
-    #: divided by this gives the number of units in the measured phase.
-    unit_s: Dict[str, float]
+    #: Nominal host seconds on a 2-core host of one attack pair, of one
+    #: undefended construction, and of the defended trials every
+    #: ``construct`` run makes.  They turn ``--seconds`` into a unit count.
+    pair_s: float
+    construction_s: float
+    defended_s: float
     #: Set-up repetitions; ``setup_s`` is their median.
     setup_reps: Dict[str, int]
 
@@ -92,27 +95,27 @@ SCALES = {
     "full": Scale(
         attack_env="cloud-raw",
         construct_env="cloud",
-        defended_env="cloud",
         monitor_budget_ms=30.0,
         train_decoys=7,
         train_positive_reps=7,
         ceaser_bulk_budget_ms=2.0,
         ceaser_budget_ms=1.0,
-        unit_s={"attack": 13.0, "attack-counter": 13.0, "construct": 3.0,
-                "defended": 7.5},
-        setup_reps={"attack": 2, "attack-counter": 2, "construct": 25,
-                    "defended": 15},
+        pair_s=11.0,
+        construction_s=3.2,
+        defended_s=16.0,
+        setup_reps={"attack": 2, "construct": 15},
     ),
     "tiny": Scale(
         attack_env=_TINY_ENV,
         construct_env=_TINY_ENV,
-        defended_env=_TINY_ENV,
         monitor_budget_ms=2.0,
         train_decoys=2,
         train_positive_reps=2,
         ceaser_bulk_budget_ms=0.5,
         ceaser_budget_ms=0.25,
-        unit_s={w: 1.0 for w in WORKLOADS},
+        pair_s=1.0,
+        construction_s=1.0,
+        defended_s=1.0,
         setup_reps={w: 2 for w in WORKLOADS},
     ),
 }
@@ -159,12 +162,26 @@ def start_victim(machine, seed: int) -> EcdsaVictim:
 # -- Outcomes and their checks ----------------------------------------------------
 
 
+def true_set(machine, line: int) -> int:
+    """Shared (LLC/SF) set of a physical line, from the slice hash itself.
+
+    The simulator's ``shared_set_index`` answers from memos that its fast
+    paths also fill; this recomputes the index from the configured hash
+    and geometry, so a memo or index bug shows as a disagreement.
+    """
+    sets = machine.cfg.llc.sets
+    return machine.hierarchy.slice_hash.slice_of(line) * sets + (line & (sets - 1))
+
+
 @dataclasses.dataclass
 class BulkCheck:
     """One bulk construction, its reported validity and the recount."""
 
     reported_valid: int
     rechecked_valid: int
+    #: Eviction sets whose per-address set indices the simulator reports
+    #: differently from the recount.
+    mismatched: int
     expected: int
     sim_ms: float
     filter_sim_ms: float
@@ -174,28 +191,32 @@ class BulkCheck:
 
     @property
     def ok(self) -> bool:
-        return self.reported_valid == self.rechecked_valid
+        return not self.mismatched and self.reported_valid == self.rechecked_valid
 
 
 def check_bulk(bulk, ctx) -> BulkCheck:
-    """Recount valid sets through the address space, not ``ctx``'s memo.
+    """Recheck every eviction set against true congruence.
 
     ``BulkResult.coverage`` calls a set valid when every address maps to
-    one shared set; the recount translates each VA afresh and asks the
-    hierarchy's index function, so a stale translation or a miscounted
-    verdict shows up as a mismatch.
+    one shared set, as ``ctx.true_set_of`` reports it.  The recount
+    translates each VA afresh through the page table and indexes it with
+    :func:`true_set`; every set must get the same per-address indices both
+    ways, and the valid counts must agree.
     """
-    hier = ctx.machine.hierarchy
-    rechecked = sum(
-        1 for e in bulk.evsets
-        if len({hier.shared_set_index(ctx.aspace.translate_line(va))
-                for va in e.vas}) == 1
-    )
-    ghz = ctx.machine.cfg.clock_ghz
+    machine = ctx.machine
+    rechecked = mismatched = 0
+    for e in bulk.evsets:
+        truth = [true_set(machine, ctx.aspace.translate_line(va)) for va in e.vas]
+        if [ctx.true_set_of(va) for va in e.vas] != truth:
+            mismatched += 1
+        if len(set(truth)) == 1:
+            rechecked += 1
+    ghz = machine.cfg.clock_ghz
     return BulkCheck(
         reported_valid=bulk.coverage(ctx)[0],
         rechecked_valid=rechecked,
-        expected=ctx.machine.cfg.u_llc * len(bulk.page_offsets),
+        mismatched=mismatched,
+        expected=machine.cfg.u_llc * len(bulk.page_offsets),
         sim_ms=bulk.elapsed_cycles / (ghz * 1e6),
         filter_sim_ms=bulk.filtering_cycles / (ghz * 1e6),
         attempted=bulk.n_targets_attempted,
@@ -217,9 +238,11 @@ class UnitOutcome:
     accesses: int = 0
     bulks: List[BulkCheck] = dataclasses.field(default_factory=list)
     outcome: Dict[str, Any] = dataclasses.field(default_factory=dict)
-    #: Attack pairs only.
+    #: Attack pairs only: whether the scan identified the target set.
     found: Optional[bool] = None
     scores: List[Tuple[int, int, int]] = dataclasses.field(default_factory=list)
+    #: Correctness problems the unit found in its own outputs.
+    problems: List[str] = dataclasses.field(default_factory=list)
 
     def close(self, machine, ready_cycles: int) -> "UnitOutcome":
         ghz = machine.cfg.clock_ghz
@@ -247,7 +270,7 @@ class ConstructUnit:
 
 def construct_trial(unit: ConstructUnit, seed: int) -> UnitOutcome:
     tr = tracer.current()
-    with tr.span("trial"):
+    with tr.span("trial"), tr.span("defense.none"):
         machine, ctx = build_env(unit.env, seed)
         ready = machine.now
         with tr.span("evset", machine):
@@ -270,7 +293,7 @@ def attack_trial(unit: AttackUnit, seed: int) -> UnitOutcome:
     tr = tracer.current()
     acfg = AttackConfig()
     out = UnitOutcome()
-    with tr.span("trial"):
+    with tr.span("trial"), tr.span(f"rng.{unit.rng_mode}"):
         machine, ctx = build_env(unit.env, seed, unit.rng_mode)
         victim = start_victim(machine, seed)
         victim.run_continuously(machine.now + 1000)
@@ -285,7 +308,16 @@ def attack_trial(unit: AttackUnit, seed: int) -> UnitOutcome:
             result = Scanner(ctx, unit.classifier, acfg.scanner).scan(
                 bulk.evsets, timeout_s=unit.monitor_budget_ms / 1e3
             )
-        out.found = result.found
+        # A positive verdict counts as found only on the target's true set;
+        # a verdict on any other set is a wrong identification.
+        out.found = result.found and (
+            true_set(machine, ctx.aspace.translate_line(result.evset.target_va))
+            == true_set(machine, victim.layout.monitored_line)
+        )
+        if result.found and not out.found:
+            out.problems.append(
+                f"seed {seed}: scan identified set of {result.evset.target_va:#x}, "
+                "which is not the target set")
         out.outcome["scan"] = {
             "found": result.found,
             "target_va": result.evset.target_va if result.found else None,
@@ -293,7 +325,7 @@ def attack_trial(unit: AttackUnit, seed: int) -> UnitOutcome:
             "sweeps": result.sweeps,
             "cycles": result.elapsed_cycles,
         }
-        if result.found:
+        if out.found:
             # The rest of the budget goes to collection: one monitoring
             # window over exactly the cycles left, cut into signings the
             # way collect_signing_traces cuts its session-sized windows.
@@ -335,35 +367,40 @@ class DefendedUnit:
     budget_ms: float = 100.0
 
 
+_DEFENSE_STAGE_FNS = ("defended_env", "bulk_construct_page_offset",
+                      "collect_labeled_traces")
+
+
 @contextlib.contextmanager
 def _observe_defense_trial(seen: Dict[str, Any]):
     """Span the stage calls ``defense_trial`` makes and keep their results.
 
     ``defense_trial`` builds its machine internally and returns only a
-    summary, so the benchmark wraps the three module-level functions it
-    calls (for the duration of one trial, in this thread) to time each
-    stage against the machine it drives and to recheck its eviction sets.
+    summary, so the benchmark replaces the three module-level functions it
+    calls with wrappers that time each stage against the machine it drives
+    and recheck its eviction sets.  The replacement is process-wide and
+    lasts one trial; ``seen["calls"]`` counts the calls each wrapper got.
     """
     tr = tracer.current()
-    orig = {
-        name: getattr(defense_matrix, name)
-        for name in ("defended_env", "bulk_construct_page_offset",
-                     "collect_labeled_traces")
-    }
+    orig = {name: getattr(defense_matrix, name) for name in _DEFENSE_STAGE_FNS}
+    calls = seen["calls"] = dict.fromkeys(orig, 0)
 
     def defended_env(env, seed, defense, defense_seed=0):
+        calls["defended_env"] += 1
         with tr.span("env.defended"):
             machine, ctx = orig["defended_env"](env, seed, defense, defense_seed)
         seen["machine"], seen["ctx"], seen["ready"] = machine, ctx, machine.now
         return machine, ctx
 
     def bulk(ctx, *args, **kwargs):
+        calls["bulk_construct_page_offset"] += 1
         with tr.span("evset", ctx.machine):
             result = orig["bulk_construct_page_offset"](ctx, *args, **kwargs)
         seen["bulks"].append(check_bulk(result, ctx))
         return result
 
     def labeled(ctx, *args, **kwargs):
+        calls["collect_labeled_traces"] += 1
         with tr.span("monitor", ctx.machine):
             return orig["collect_labeled_traces"](ctx, *args, **kwargs)
 
@@ -379,6 +416,27 @@ def _observe_defense_trial(seen: Dict[str, Any]):
             setattr(defense_matrix, name, fn)
 
 
+def _defense_calls_problem(unit: "DefendedUnit", sample, calls) -> Optional[str]:
+    """Whether ``defense_trial`` reached every wrapped function it should.
+
+    It builds one machine, makes one construction when ``construct`` is a
+    stage, and two labeled collections (training, held-out) when
+    ``monitor`` is; a stage that records an error stops before the rest.
+    """
+    expected = {
+        "defended_env": 1,
+        "bulk_construct_page_offset": int("construct" in unit.stages),
+        "collect_labeled_traces": 2 * int("monitor" in unit.stages),
+    }
+    wrong = [name for name, n in expected.items() if calls[name] > n or (
+        calls[name] < n
+        and (not sample.error or name != "collect_labeled_traces"))]
+    if not wrong:
+        return None
+    return (f"{unit.defense}: defense_trial made stage calls {calls}, "
+            f"expected {expected}")
+
+
 def defended_trial(unit: DefendedUnit, seed: int) -> UnitOutcome:
     tr = tracer.current()
     cfg = defense_matrix.DefenseTrialConfig(
@@ -391,6 +449,11 @@ def defended_trial(unit: DefendedUnit, seed: int) -> UnitOutcome:
         sample = defense_matrix.defense_trial(cfg, seed)
     out = UnitOutcome(bulks=seen["bulks"])
     out.outcome["sample"] = dataclasses.asdict(sample)
+    problem = _defense_calls_problem(unit, sample, seen["calls"])
+    if problem:
+        out.problems.append(f"seed {seed}: {problem}")
+    if "machine" not in seen:
+        return out
     return out.close(seen["machine"], seen["ready"])
 
 
@@ -429,50 +492,57 @@ def train_classifier(scale: Scale, seed: int, rng_mode: str):
 class Plan:
     """A workload's set-up product and the units of its measured phase."""
 
-    fn: Any
     grid: List[Tuple[Any, int]]
     setup_outcome: Dict[str, Any]
-    #: Units re-run in a traced run's paired control (same seeds).
-    control: Optional[List[Tuple[Any, int]]] = None
 
 
-def _setup_once(workload: str, scale: Scale, seed: int, n_units: int) -> Plan:
-    # attack-counter takes the attack workload's inputs: the same pairs and
-    # the same classifier, trained on its own host under the serial
-    # contract.  Only the contract of the attacked machines differs.
-    tag = "attack" if workload == "attack-counter" else workload
-    seeds = seed_stream(seed, n_units, tag=tag)
-    setup_seed = seed_stream(seed, 1, tag=f"{tag}/setup")[0]
-    if tag == "attack":
-        mode = "counter" if workload == "attack-counter" else "serial"
+def run_unit(unit, seed: int) -> UnitOutcome:
+    """The trial function ``run_campaign`` dispatches: one unit of any kind."""
+    if isinstance(unit, AttackUnit):
+        return attack_trial(unit, seed)
+    if isinstance(unit, ConstructUnit):
+        return construct_trial(unit, seed)
+    return defended_trial(unit, seed)
+
+
+def _setup_once(workload: str, scale: Scale, seed: int, seconds: float) -> Plan:
+    setup_seed = seed_stream(seed, 1, tag=f"{workload}/setup")[0]
+    if workload == "attack":
+        # Pairs alternate serial, counter, serial, ... on the same seeds,
+        # with one classifier trained under the serial contract: only the
+        # contract of the attacked machines differs.
+        n = max(2, round(seconds / scale.pair_s))
         clf, outcome = train_classifier(scale, setup_seed, "serial")
-        grid = [(AttackUnit(scale.attack_env, mode, clf, scale.monitor_budget_ms), s)
-                for s in seeds]
-        control = None
-        if mode == "counter":
-            control = [(dataclasses.replace(u, rng_mode="serial"), s) for u, s in grid]
-        return Plan(attack_trial, grid, outcome, control)
+        grid = [
+            (AttackUnit(scale.attack_env, mode, clf, scale.monitor_budget_ms), s)
+            for s in seed_stream(seed, (n + 1) // 2, tag=workload)
+            for mode in ("serial", "counter")
+        ][:n]
+        return Plan(grid, outcome)
     if workload == "construct":
-        machine, _ = build_env(scale.construct_env, setup_seed)
-        return Plan(construct_trial, [(ConstructUnit(scale.construct_env), s)
-                                      for s in seeds],
-                    {"clock": machine.now})
-    if workload == "defended":
+        env = scale.construct_env
         clocks = {}
-        for defense in ("way-partition", "ceaser"):
-            machine, _ = build_env(scale.defended_env, setup_seed, defense=defense)
+        for defense in ("none", "way-partition", "ceaser"):
+            machine, _ = build_env(env, setup_seed, defense=defense)
             clocks[defense] = machine.now
-        wp = DefendedUnit(scale.defended_env, "way-partition", ("construct", "monitor"))
+        n = max(1, round((seconds - scale.defended_s) / scale.construction_s))
+        undefended = [(ConstructUnit(env), s)
+                      for s in seed_stream(seed, n, tag=workload)]
+        defended_seed = seed_stream(seed, 1, tag=f"{workload}/defended")[0]
+        wp = DefendedUnit(env, "way-partition", ("construct", "monitor"))
+        # CEASER's keyed index costs ~100 us per access in Python, so one
+        # trial bounded in simulated time is enough to price it.
         ceaser = DefendedUnit(
-            scale.defended_env, "ceaser", ("construct",),
+            env, "ceaser", ("construct",),
             bulk_budget_ms=scale.ceaser_bulk_budget_ms,
             budget_ms=scale.ceaser_budget_ms,
         )
-        # CEASER's keyed index costs ~100 us per access in Python, so one
-        # bounded trial per run is enough to price it.
-        grid = [(wp, s) for s in seeds] + [(ceaser, seeds[0])]
-        control = [(dataclasses.replace(wp, defense="none"), s) for s in seeds]
-        return Plan(defended_trial, grid, clocks, control)
+        # The way-partition trial sits among the undefended constructions
+        # it is priced against.
+        half = n // 2
+        grid = (undefended[:half] + [(wp, defended_seed)] + undefended[half:]
+                + [(ceaser, defended_seed)])
+        return Plan(grid, clocks)
     raise ValueError(f"unknown workload {workload!r}")
 
 
@@ -484,7 +554,7 @@ class Setup:
     digests: List[str]
 
 
-def setup(workload: str, scale: Scale, seed: int, n_units: int) -> Setup:
+def setup(workload: str, scale: Scale, seed: int, seconds: float) -> Setup:
     """Set up ``setup_reps`` times, each on fresh machines; keep the last plan.
 
     Every repetition must produce the same set-up outcome (the trained
@@ -496,7 +566,7 @@ def setup(workload: str, scale: Scale, seed: int, n_units: int) -> Setup:
         rec = tracer.Tracer()
         t0 = time.perf_counter()
         with tracer.active(rec):
-            plan = _setup_once(workload, scale, seed, n_units)
+            plan = _setup_once(workload, scale, seed, seconds)
         walls.append(time.perf_counter() - t0)
         digests.append(digest(plan.setup_outcome))
         for name, totals in rec.by_name().items():
@@ -541,9 +611,9 @@ def _collected(fn):
     return unit
 
 
-def measure(fn, grid, name: str, traced: bool) -> Measured:
+def measure(grid, name: str, traced: bool) -> Measured:
     rec = tracer.Tracer() if traced else tracer.NULL
-    campaign = grid_campaign(_collected(fn), grid, name=name)
+    campaign = grid_campaign(_collected(run_unit), grid, name=name)
     policy = ExecPolicy(jobs=1, batch=1)
     with tracer.active(rec):
         t0 = time.perf_counter()
