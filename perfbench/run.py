@@ -14,6 +14,10 @@ controls: ``attack`` runs every pair under the serial and the counter RNG
 contract, ``construct`` runs undefended constructions around its defended
 trials.
 
+The end-to-end host times are in reference seconds, compensated for the
+host's speed as it drifts during the run (see ``hostclock``); the
+per-layer ones are host seconds.
+
 Human-readable lines come first; the last line of standard output is the
 JSON result.  The exit code is 1 when a correctness check fails and 2
 when the simulator cannot be imported.  Numbers are stamped with the host
@@ -33,6 +37,7 @@ import sys
 from statistics import median
 
 import tracer
+from hostclock import HostClock
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -40,9 +45,9 @@ SRC = os.path.join(ROOT, "src")
 
 #: name -> unit, in BENCHMARK.json order.
 END_TO_END = {
-    "wall_s": "s",
+    "time_s": "s",
     "setup_s": "s",
-    "wall_s_per_sim_ms": "s/sim_ms",
+    "time_s_per_sim_ms": "s/sim_ms",
     "ns_per_access": "ns",
     "peak_rss_mb": "MB",
     "sim_attack_s": "sim_s",
@@ -97,6 +102,8 @@ def _per_layer_units():
         "exec.dispatch_overhead_s": "s",
         "trace.overhead_s": "s",
         "trace.overhead_pct": "%",
+        "host.wall_s": "s",
+        "host.slowdown": "x",
     }
     for counter in MEM_COUNTERS:
         units[f"mem.{counter}"] = "count"
@@ -180,15 +187,16 @@ def peak_rss_mb() -> float:
 
 
 def end_to_end(measured, setup):
+    """The end-to-end metrics; host times are in reference seconds."""
     outs = measured.outcomes
     sim_ms = sum(o.sim_ms for o in outs)
     accesses = sum(o.accesses for o in outs)
     bulks = [b for o in outs for b in o.bulks]
     values = {
-        "wall_s": measured.wall_s,
-        "setup_s": median(setup.wall_s),
-        "wall_s_per_sim_ms": measured.wall_s / sim_ms if sim_ms else 0.0,
-        "ns_per_access": measured.wall_s / accesses * 1e9 if accesses else 0.0,
+        "time_s": measured.ref_s,
+        "setup_s": median(setup.ref_s),
+        "time_s_per_sim_ms": measured.ref_s / sim_ms if sim_ms else 0.0,
+        "ns_per_access": measured.ref_s / accesses * 1e9 if accesses else 0.0,
         "peak_rss_mb": peak_rss_mb(),
         "sim_attack_s": sum(o.attack_sim_ms for o in outs) / 1e3,
         "sim_evset_ms": (sum(b.sim_ms for b in bulks) / len(bulks)) if bulks else 0.0,
@@ -218,7 +226,7 @@ def _ratio(a: float, b: float) -> float:
     return a / b if b else 0.0
 
 
-def per_layer(workload, untraced, traced, setup, grid):
+def per_layer(workload, untraced, traced, setup, grid, clock):
     stages = traced.tracer.by_name()
 
     def stage(name):
@@ -272,8 +280,10 @@ def per_layer(workload, untraced, traced, setup, grid):
     )
     v["attack.bit_error_rate"] = _ratio(sum(s[2] for s in scores), recovered)
     v["exec.dispatch_overhead_s"] = untraced.dispatch_overhead_s
-    v["trace.overhead_s"] = traced.wall_s - untraced.wall_s
-    v["trace.overhead_pct"] = 100 * _ratio(v["trace.overhead_s"], untraced.wall_s)
+    v["trace.overhead_s"] = traced.ref_s - untraced.ref_s
+    v["trace.overhead_pct"] = 100 * _ratio(v["trace.overhead_s"], untraced.ref_s)
+    v["host.wall_s"] = untraced.wall_s
+    v["host.slowdown"] = clock.slowdown
     for counter in MEM_COUNTERS:
         v[f"mem.{counter}"] = sum(stage(s).counters[counter] for s in MACHINE_STAGES)
         for s in MACHINE_STAGES:
@@ -313,11 +323,11 @@ def per_layer(workload, untraced, traced, setup, grid):
 
 
 def attribution_table(measured, setup) -> str:
-    """Per-stage share of wall_s and self time, from the traced run."""
+    """Per-stage share of the traced run's host time, and self time."""
     wall = measured.wall_s
     lines = [
-        f"attribution (traced wall_s {wall:.3f} s; setup_s median "
-        f"{median(setup.wall_s):.3f} s over {len(setup.wall_s)} reps)",
+        f"attribution (traced run {wall:.3f} host s; set-up median "
+        f"{median(setup.wall_s):.3f} host s over {len(setup.wall_s)} reps)",
         f"  {'stage':<22}{'calls':>6}{'wall s':>10}{'self s':>10}{'share':>8}"
         f"{'self':>8}{'sim ms':>10}{'accesses':>11}{'ns/acc':>9}",
     ]
@@ -361,23 +371,27 @@ def run(args, wl) -> int:
     scale = wl.SCALES[args.size]
     facts = host_facts()
     print("host: " + " ".join(f"{k}={v}" for k, v in facts.items()))
-    setup = wl.setup(args.workload, scale, args.seed, args.seconds)
-    plan = setup.plan
+    with HostClock() as clock:
+        setup = wl.setup(args.workload, scale, args.seed, args.seconds, clock)
+        plan = setup.plan
+        untraced = wl.measure(plan.grid, args.workload, False, clock)
+        traced = (wl.measure(plan.grid, args.workload, True, clock)
+                  if args.trace else None)
     print(f"workload={args.workload} seed={args.seed} seconds={args.seconds:g} "
-          f"trace={args.trace} size={args.size} units={len(plan.grid)}")
+          f"trace={args.trace} size={args.size} units={len(plan.grid)} "
+          f"host slowdown {clock.slowdown:.3f} over {len(clock.probes)} probes")
     problems = []
     if len(set(setup.digests)) != 1:
         problems.append(f"set-up is not deterministic: {setup.digests}")
 
-    untraced = wl.measure(plan.grid, args.workload, traced=False)
     check(untraced, "untraced", problems)
     for rec in untraced.records:
         if not rec.ok:
             print(f"unit {rec.index} (seed {rec.seed}) failed: {rec.error}")
             continue
         out = rec.value
-        line = (f"unit {rec.index}: {rec.elapsed_s:.3f} s, {out.sim_ms:.3f} sim ms, "
-                f"{out.accesses} accesses")
+        line = (f"unit {rec.index}: {rec.elapsed_s:.3f} host s, {out.ref_s:.3f} "
+                f"reference s, {out.sim_ms:.3f} sim ms, {out.accesses} accesses")
         if "scan" in out.outcome:
             scan = out.outcome["scan"]
             state = ("found" if out.found else
@@ -387,15 +401,15 @@ def run(args, wl) -> int:
         print(line)
     digest = untraced.digest()
     print(f"outcome digest {digest}")
+    print(f"measured phase {untraced.wall_s:.3f} host s, {untraced.ref_s:.3f} reference s")
 
-    if args.trace:
-        traced = wl.measure(plan.grid, args.workload, traced=True)
+    if traced is not None:
         check(traced, "traced", problems)
         if traced.digest() != digest:
             problems.append(
                 f"traced digest {traced.digest()} != untraced {digest}")
         print(attribution_table(traced, setup))
-        values = per_layer(args.workload, untraced, traced, setup, plan.grid)
+        values = per_layer(args.workload, untraced, traced, setup, plan.grid, clock)
         units = PER_LAYER
     else:
         values = end_to_end(untraced, setup)

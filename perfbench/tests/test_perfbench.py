@@ -220,3 +220,54 @@ def test_defense_trial_that_skips_a_stage_fails_the_run(monkeypatch, capsys):
     code, result, out = _tiny_main("construct", capsys)
     assert code == 1 and result["correct"] is False
     assert "defense_trial made stage calls" in out
+
+
+# -- The host-speed-compensated clock -----------------------------------------------
+
+
+def _spin(n):
+    total = 0
+    for i in range(n):
+        total += i * i % 7
+    return total
+
+
+def test_host_clock_counts_work_in_reference_seconds(monkeypatch):
+    import signal
+
+    import hostclock
+
+    monkeypatch.setattr(hostclock, "INTERVAL_S", 0.02)
+    before = signal.getsignal(signal.SIGALRM)
+    with hostclock.HostClock() as clock:
+        readings = [clock.now()]
+        for n in (300_000, 600_000):
+            t0 = clock.now()
+            _spin(n)
+            readings.append(clock.now() - t0)
+    assert signal.getsignal(signal.SIGALRM) is before
+    # Besides the probes on entry and exit, the timer ran some.
+    assert readings[0] >= 0 and len(clock.probes) > 2
+    # Twice the work reads about twice the reference seconds.
+    assert 1.3 < readings[2] / readings[1] < 3.0
+    assert clock.slowdown > 0
+
+
+def test_host_clock_scales_by_probe_speed(monkeypatch):
+    """An interval reads wall seconds times the reference over the probe time."""
+    import hostclock
+
+    # Each probe reads the clock before its untimed pass, then around
+    # its timed pass.
+    ticks = iter([0.0, 0.5, 1.5,   # first probe: 1 s, twice the reference
+                  5.5, 6.0, 7.0,   # second, after 4 s of program time
+                  7.5])            # now(): 0.5 s into the next interval
+    monkeypatch.setattr(hostclock.time, "perf_counter", lambda: next(ticks))
+    monkeypatch.setattr(hostclock, "REFERENCE_PROBE_S", 0.5)
+    clock = hostclock.HostClock()
+    clock._work = lambda: 0
+    clock._probe()
+    clock._probe()
+    # 4 s at probe 1 s (median of 1 s and 1 s) -> 2 reference s; the open
+    # interval adds 0.5 s at the same scale.
+    assert clock.now() == pytest.approx(2.0 + 0.25)

@@ -23,9 +23,10 @@ tag=workload)``: one benchmark seed fixes every input.
     Step 1 (BinS with L2 filtering) on the exposure-matched ``cloud`` env,
     undefended, plus ``repro.defenses.matrix.defense_trial`` under way
     partitioning (construct + monitor stages) and under CEASER (construct
-    stage, bounded in simulated time).  Every accelerated tier falls back
-    to the scalar path in the defended trials, and nowhere else.  The
-    undefended constructions run no monitor, ``dsp`` or ``ml``.
+    stage, bounded in simulated time, on one fixed input).  Every
+    accelerated tier falls back to the scalar path in the defended trials,
+    and nowhere else.  The undefended constructions run no monitor,
+    ``dsp`` or ``ml``.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from repro.memsys.machine import Machine
 from repro.victim import EcdsaVictim, VictimConfig
 
 import tracer
+from hostclock import HostClock
 
 WORKLOADS = ("attack", "construct")
 
@@ -103,7 +105,7 @@ SCALES = {
         pair_s=11.0,
         construction_s=3.2,
         defended_s=16.0,
-        setup_reps={"attack": 2, "construct": 15},
+        setup_reps={"attack": 2, "construct": 30},
     ),
     "tiny": Scale(
         attack_env=_TINY_ENV,
@@ -235,6 +237,8 @@ class UnitOutcome:
 
     sim_ms: float = 0.0
     attack_sim_ms: float = 0.0
+    #: Reference seconds (see ``hostclock``) the unit took.
+    ref_s: float = 0.0
     accesses: int = 0
     bulks: List[BulkCheck] = dataclasses.field(default_factory=list)
     outcome: Dict[str, Any] = dataclasses.field(default_factory=dict)
@@ -531,7 +535,12 @@ def _setup_once(workload: str, scale: Scale, seed: int, seconds: float) -> Plan:
         defended_seed = seed_stream(seed, 1, tag=f"{workload}/defended")[0]
         wp = DefendedUnit(env, "way-partition", ("construct", "monitor"))
         # CEASER's keyed index costs ~100 us per access in Python, so one
-        # trial bounded in simulated time is enough to price it.
+        # trial bounded in simulated time is enough to price it.  It gets
+        # the same input on every --seed: its candidate filtering runs to
+        # completion before the deadline applies, so its work varies 2x
+        # between seeds (93 k to 182 k accesses), which alone would spread
+        # the run's time by ~10%.
+        ceaser_seed = seed_stream(0, 1, tag=f"{workload}/ceaser")[0]
         ceaser = DefendedUnit(
             env, "ceaser", ("construct",),
             bulk_budget_ms=scale.ceaser_bulk_budget_ms,
@@ -541,7 +550,7 @@ def _setup_once(workload: str, scale: Scale, seed: int, seconds: float) -> Plan:
         # it is priced against.
         half = n // 2
         grid = (undefended[:half] + [(wp, defended_seed)] + undefended[half:]
-                + [(ceaser, defended_seed)])
+                + [(ceaser, ceaser_seed)])
         return Plan(grid, clocks)
     raise ValueError(f"unknown workload {workload!r}")
 
@@ -549,29 +558,33 @@ def _setup_once(workload: str, scale: Scale, seed: int, seconds: float) -> Plan:
 @dataclasses.dataclass
 class Setup:
     plan: Plan
+    #: Host seconds and reference seconds (see ``hostclock``) of each rep.
     wall_s: List[float]
+    ref_s: List[float]
     stages: Dict[str, float]
     digests: List[str]
 
 
-def setup(workload: str, scale: Scale, seed: int, seconds: float) -> Setup:
+def setup(workload: str, scale: Scale, seed: int, seconds: float,
+          clock: HostClock) -> Setup:
     """Set up ``setup_reps`` times, each on fresh machines; keep the last plan.
 
     Every repetition must produce the same set-up outcome (the trained
     classifier's verdicts, the machines' clocks): set-up is deterministic.
     """
-    walls, digests = [], []
+    walls, refs, digests = [], [], []
     stage_totals: Dict[str, float] = {}
     for _ in range(scale.setup_reps[workload]):
         rec = tracer.Tracer()
-        t0 = time.perf_counter()
+        t0, r0 = time.perf_counter(), clock.now()
         with tracer.active(rec):
             plan = _setup_once(workload, scale, seed, seconds)
         walls.append(time.perf_counter() - t0)
+        refs.append(clock.now() - r0)
         digests.append(digest(plan.setup_outcome))
         for name, totals in rec.by_name().items():
             stage_totals[name] = stage_totals.get(name, 0.0) + totals.wall_s
-    return Setup(plan, walls, stage_totals, digests)
+    return Setup(plan, walls, refs, stage_totals, digests)
 
 
 @dataclasses.dataclass
@@ -579,6 +592,8 @@ class Measured:
     """One execution of the measured phase."""
 
     wall_s: float
+    #: The same span in reference seconds (see ``hostclock``).
+    ref_s: float
     records: List[Any]
     tracer: Any
 
@@ -600,24 +615,30 @@ class Measured:
         ])
 
 
-def _collected(fn):
-    """``fn`` after a full collection: a unit's machine is a reference
-    cycle, so without it peak RSS depends on when the collector last ran."""
+def _timed_unit(clock: HostClock):
+    """:func:`run_unit` after a full collection, timed in reference seconds.
+
+    A unit's machine is a reference cycle, so without the collection peak
+    RSS would depend on when the collector last ran.
+    """
 
     def unit(config, seed):
         gc.collect()
-        return fn(config, seed)
+        r0 = clock.now()
+        out = run_unit(config, seed)
+        out.ref_s = clock.now() - r0
+        return out
 
     return unit
 
 
-def measure(grid, name: str, traced: bool) -> Measured:
+def measure(grid, name: str, traced: bool, clock: HostClock) -> Measured:
     rec = tracer.Tracer() if traced else tracer.NULL
-    campaign = grid_campaign(_collected(run_unit), grid, name=name)
+    campaign = grid_campaign(_timed_unit(clock), grid, name=name)
     policy = ExecPolicy(jobs=1, batch=1)
     with tracer.active(rec):
-        t0 = time.perf_counter()
+        t0, r0 = time.perf_counter(), clock.now()
         result = run_campaign(campaign, policy)
-        wall = time.perf_counter() - t0
-    return Measured(wall, list(result.records), rec)
+        wall, ref = time.perf_counter() - t0, clock.now() - r0
+    return Measured(wall, ref, list(result.records), rec)
 
