@@ -15,11 +15,12 @@ simulator itself across its four generations of hot path:
   (:func:`repro.memsys.lanes_disabled`);
 * **lanes** — the plan-specialized lane kernels (DESIGN.md §2.4), the
   default path when NumPy is available;
-* **vec** — the memo-replay vectorized lane path (DESIGN.md §2.7),
-  legal only under the event-keyed RNG contract (``rng_mode="counter"``):
-  monitor rounds whose pre-state was seen before replay as slice
-  assignments instead of re-simulating, bit-identical to the lanes path
-  on the same counter-mode machine (asserted in-bench by digest);
+* **memo** — the monitor-round memo replay of the lane bundle
+  (DESIGN.md §2.7): rounds whose post-reconcile state slice was seen
+  before replay as slice assignments instead of re-simulating.  It is
+  measured as memo on against memo off (:func:`round_memo_disabled`) on
+  the same workload, under both RNG contracts, and the memo-on and
+  memo-off machine digests must match (asserted in-bench);
 * **batch** — the trial-batch executor (DESIGN.md §2.6), measured at the
   campaign level: grouped pool dispatch on microsecond trials and
   in-process lockstep sessions on construction trials, in both RNG
@@ -28,20 +29,19 @@ simulator itself across its four generations of hot path:
 
 All serial-mode paths run the same workloads and — because the kernels
 and lanes are bit-identical by construction — must produce the same
-eviction sets; the sanity asserts at the bottom enforce that.  The vec
-stage runs under the counter contract, so its outcomes are compared
-against a counter-mode lanes control machine instead.  Perf smokes gate
-CI: the fused path must not regress below the batched one on the
-monitor loop, the lane path must not regress below the plain kernels on
-constructions/sec, and the vec path must deliver >= 1.5x lanes
-accesses/sec.
+eviction sets; the sanity asserts at the bottom enforce that.  The memo
+stage compares each contract's memo-on machine against its memo-off
+control instead.  Perf smokes gate CI: the fused path must not regress
+below the batched one on the monitor loop, the lane path must not
+regress below the plain kernels on constructions/sec, and the round
+memo must deliver >= 1.5x memo-off accesses/sec under each contract.
 
 ``--stages`` selects a comma-separated subset (``ref``/``reference``,
-``batched``, ``kernels``, ``lanes``, ``vec``, ``batch``) so CI quick
-runs can gate only the stages they care about; cross-stage asserts and
-history updates apply only to what was measured.  Every history entry
-records ``quick``, ``host`` and ``python`` so appended entries stay
-interpretable across machines.
+``batched``, ``kernels``, ``lanes``, ``memo``,
+``batch``, ``construct``) so CI quick runs can gate only the stages
+they care about; cross-stage asserts and history updates apply only to
+what was measured.  Every history entry records ``quick``, ``host`` and
+``python`` so appended entries stay interpretable across machines.
 
 Workloads:
 
@@ -61,7 +61,8 @@ Results, speedups, the profile, and the data-plane counters
 entry per PR, stage name -> evsets/s, accesses/s, trial seconds) so the
 perf trajectory survives reruns instead of being overwritten.
 
-Run directly (``--quick`` shrinks every workload for CI smoke runs)::
+Run directly (``--quick`` shrinks every workload for CI smoke runs;
+``--help`` lists the options)::
 
     PYTHONPATH=src python benchmarks/bench_perf_memsys.py [--quick]
 
@@ -70,6 +71,7 @@ or through the harness: ``pytest benchmarks/bench_perf_memsys.py``.
 
 from __future__ import annotations
 
+import argparse
 import cProfile
 import dataclasses
 import json
@@ -101,9 +103,9 @@ from repro.memsys import (
     AttackKernels,
     LaneKernels,
     TranslationPlane,
-    VecKernels,
     kernels_disabled,
     lanes_disabled,
+    round_memo_disabled,
 )
 from repro.memsys._reference import ReferenceSetAssociativeCache
 from repro.memsys.cache import SetAssociativeCache
@@ -115,9 +117,12 @@ PAGE_OFFSET = 0x2C0
 STAGES = ("reference", "batched", "kernels", "lanes")
 
 #: Everything ``--stages`` can select (the serial paths plus the
-#: counter-mode vec path, the campaign-level batch tier, and the
-#: checkpoint + construct-memo repeat-trial stage).
-ALL_COMPONENTS = STAGES + ("vec", "batch", "construct")
+#: monitor-round memo on/off comparison, the campaign-level batch tier,
+#: and the checkpoint + construct-memo repeat-trial stage).
+ALL_COMPONENTS = STAGES + ("memo", "batch", "construct")
+
+#: RNG contracts the memo stage measures.
+MEMO_MODES = ("serial", "counter")
 
 _STAGE_ALIASES = {"ref": "reference"}
 
@@ -235,19 +240,26 @@ def _kernels_runner(kernel_cls, rng_mode: str = "serial"):
     return machine, evset, runner
 
 
-def _bench_accesses(quick: bool, hot, want_vec: bool):
+def _memo_off(runner):
+    """``runner`` with every monitor round run live."""
+    def run(reps):
+        with round_memo_disabled():
+            return runner(reps)
+    return run
+
+
+def _bench_accesses(quick: bool, hot, want_memo: bool):
     """Monitor-loop throughput, selected hot paths, interleaved best-of-N.
 
     Shared/burst-throttled hosts swing throughput by 2x over minutes;
     interleaving the implementations round-robin and taking each side's
-    best round keeps the ratios honest under that noise.  The lane bundle
-    inherits the monitor kernels unchanged (resident-line walks have
-    nothing provably dead), so its column doubles as an overhead check.
+    best round keeps the ratios honest under that noise.
 
-    ``want_vec`` adds two counter-mode machines: the vec path under
-    measurement and a lanes control running the identical workload; their
-    machine digests must match at the end (replay parity, asserted here
-    so the perf number can never outrun correctness).
+    ``want_memo`` adds, per RNG contract, a lane bundle with the round
+    memo on (``memo_<mode>``) and one with it off (``live_<mode>``)
+    running the identical workload; each pair's machine digests must
+    match at the end (replay parity, asserted here so the perf number
+    can never outrun correctness).
     """
     rounds = 2 if quick else 4
     reps = 40 if quick else 300
@@ -268,24 +280,36 @@ def _bench_accesses(quick: bool, hot, want_vec: bool):
             machines[stage], evsets[stage], runners[stage] = (
                 _kernels_runner(kcls)
             )
-    if want_vec:
-        for name, kcls in (("lanes_counter", LaneKernels),
-                           ("vec", VecKernels)):
-            machines[name], evsets[name], runners[name] = (
-                _kernels_runner(kcls, rng_mode="counter")
-            )
+    if want_memo:
+        for mode in MEMO_MODES:
+            for name in (f"memo_{mode}", f"live_{mode}"):
+                machines[name], evsets[name], runner = (
+                    _kernels_runner(LaneKernels, rng_mode=mode)
+                )
+                runners[name] = (
+                    runner if name.startswith("memo") else _memo_off(runner)
+                )
     assert len({tuple(e) for e in evsets.values()}) <= 1, (
         "parity violation: address maps differ"
     )
+    # A memo-pair round takes milliseconds, so those pairs run more
+    # interleaved rounds: best-of-N over such short intervals needs a
+    # larger N to shed host noise.
+    memo_rounds = (16 if quick else 32) if want_memo else 0
+    memo_names = {f"{side}_{mode}" for side in ("memo", "live")
+                  for mode in MEMO_MODES}
     best = dict.fromkeys(runners, 0.0)
-    for _ in range(rounds):
+    for i in range(max(rounds, memo_rounds)):
         for name, runner in runners.items():
-            best[name] = max(best[name], runner(reps))
-    if want_vec:
-        assert (machine_digest(machines["vec"])
-                == machine_digest(machines["lanes_counter"])), (
-            "parity violation: vec replay diverged from counter-mode lanes"
-        )
+            if i < (memo_rounds if name in memo_names else rounds):
+                best[name] = max(best[name], runner(reps))
+    if want_memo:
+        for mode in MEMO_MODES:
+            assert (machine_digest(machines[f"memo_{mode}"])
+                    == machine_digest(machines[f"live_{mode}"])), (
+                f"parity violation: round memo replay diverged from live "
+                f"rounds under rng={mode}"
+            )
     return best, machines
 
 
@@ -705,16 +729,16 @@ def run_perf(
 ) -> dict:
     sel = resolve_stages(stages)
     hot = [s for s in STAGES if s in sel]
-    want_vec = "vec" in sel and HAVE_NUMPY
+    want_memo = "memo" in sel and HAVE_NUMPY
     want_batch = "batch" in sel
     want_construct = "construct" in sel and HAVE_NUMPY
     print_header(
         "Simulator throughput: reference vs. flat plane vs. kernels vs. "
-        "lanes vs. vec",
+        "lanes, round memo on vs. off",
         "Infrastructure benchmark (DESIGN.md 2.2-2.7), not a paper artifact.",
     )
     best_acc, acc_machines = (
-        _bench_accesses(quick, hot, want_vec) if (hot or want_vec)
+        _bench_accesses(quick, hot, want_memo) if (hot or want_memo)
         else ({}, {})
     )
     ev_results = _bench_evsets(quick, hot) if hot else {}
@@ -726,20 +750,19 @@ def run_perf(
         if stage == "lanes":
             trial_machine = machine
 
-    vec_results = None
-    if want_vec:
-        vec_results = {
-            "rng_mode": "counter",
-            "accesses_per_sec": best_acc["vec"],
-            "counter_lanes_accesses_per_sec": best_acc["lanes_counter"],
-            "speedup_vs_counter_lanes": (
-                best_acc["vec"] / best_acc["lanes_counter"]
-            ),
+    memo_results = None
+    if want_memo:
+        memo_results = {
+            mode: {
+                "memo_accesses_per_sec": best_acc[f"memo_{mode}"],
+                "live_accesses_per_sec": best_acc[f"live_{mode}"],
+                "speedup": best_acc[f"memo_{mode}"] / best_acc[f"live_{mode}"],
+            }
+            for mode in MEMO_MODES
         }
-        if "lanes" in results:
-            vec_results["speedup_vs_lanes"] = (
-                best_acc["vec"] / results["lanes"]["accesses_per_sec"]
-            )
+        memo_results["min_speedup"] = min(
+            memo_results[mode]["speedup"] for mode in MEMO_MODES
+        )
 
     def ratio(new, old):
         return {
@@ -755,18 +778,16 @@ def run_perf(
         kernel_speedup = ratio(results["kernels"], results["batched"])
         lane_speedup = ratio(results["lanes"], results["kernels"])
 
-    names = hot + (["vec"] if want_vec else [])
-    if names:
+    if hot:
         table = Table(
             "Simulator throughput (same host, same workloads)",
-            ["Metric"] + [n.capitalize() for n in names],
+            ["Metric"] + [n.capitalize() for n in hot],
         )
 
         def _row(label, key, fmt):
             cells = []
-            for n in names:
-                src = vec_results if n == "vec" else results.get(n)
-                value = (src or {}).get(key)
+            for n in hot:
+                value = results[n].get(key)
                 cells.append(fmt.format(value) if value is not None else "-")
             table.add_row(label, *cells)
 
@@ -774,13 +795,13 @@ def run_perf(
         _row("evset constructions/sec", "evsets_per_sec", "{:.2f}")
         _row("end-to-end trial (s)", "trial_seconds", "{:.2f}")
         table.print()
-        if want_vec:
-            base = vec_results.get(
-                "speedup_vs_lanes", vec_results["speedup_vs_counter_lanes"]
-            )
+    if want_memo:
+        for mode in MEMO_MODES:
+            r = memo_results[mode]
             print(
-                f"vec (rng=counter): {best_acc['vec']:,.0f} accesses/sec "
-                f"= {base:.2f}x lanes"
+                f"round memo (rng={mode}): "
+                f"{r['memo_accesses_per_sec']:,.0f} accesses/sec on, "
+                f"{r['live_accesses_per_sec']:,.0f} off = {r['speedup']:.2f}x"
             )
 
     batch_results = None
@@ -859,16 +880,18 @@ def run_perf(
         history = _update_history(
             history, "PR 7", {"batch": serial_batch}, quick
         )
-    if want_vec or batch_results is not None:
-        pr8 = {}
-        if want_vec:
-            pr8["vec"] = vec_results
-        if batch_results is not None:
-            pr8["batch_counter"] = {
+    if batch_results is not None:
+        pr8 = {
+            "batch_counter": {
                 k: v for k, v in batch_results.items()
                 if k.startswith("counter_")
-            }
+            },
+        }
         history = _update_history(history, "PR 8", pr8, quick)
+    if memo_results is not None:
+        history = _update_history(
+            history, "round memo", {"memo": memo_results}, quick
+        )
     if construct_results is not None:
         history = _update_history(
             history, "PR 9", {"construct": construct_results}, quick
@@ -904,10 +927,10 @@ def run_perf(
                     "kernel_speedup", "lane_speedup"):
             if key in old_payload:
                 payload[key] = old_payload[key]
-    if vec_results is not None:
-        payload["vec"] = vec_results
-    elif "vec" in old_payload:
-        payload["vec"] = old_payload["vec"]
+    if memo_results is not None:
+        payload["round_memo"] = memo_results
+    elif "round_memo" in old_payload:
+        payload["round_memo"] = old_payload["round_memo"]
     if batch_results is not None:
         payload["batch"] = batch_results
     elif "batch" in old_payload:
@@ -922,9 +945,8 @@ def run_perf(
     # Sanity checks.  Cross-implementation speedups carry no threshold
     # (CI runners are too noisy), but all measured serial-mode paths
     # must agree on every *outcome* — the kernels and lanes are
-    # bit-identical by contract.  (The vec stage runs under the counter
-    # contract; its parity is asserted against the counter-mode lanes
-    # control inside _bench_accesses.)
+    # bit-identical by contract.  (The memo stage's parity is asserted
+    # against its memo-off controls inside _bench_accesses.)
     for metrics in results.values():
         assert metrics["accesses_per_sec"] > 0
         assert math.isfinite(metrics["trial_seconds"])
@@ -953,16 +975,16 @@ def run_perf(
             f"{results['lanes']['evsets_per_sec']:.2f} vs "
             f"{results['kernels']['evsets_per_sec']:.2f} evsets/sec"
         )
-    # Vec perf gate (PR 8): memo-replay must deliver >= 1.5x lanes on the
-    # monitor loop even in quick mode (full runs measure ~2.5x; 1.5
-    # absorbs cold-memo and CI noise).
-    if vec_results is not None:
-        vec_base = vec_results.get(
-            "speedup_vs_lanes", vec_results["speedup_vs_counter_lanes"]
-        )
-        assert vec_base >= 1.5, (
-            f"vec stage below 1.5x lanes accesses/sec: {vec_base:.2f}x"
-        )
+    # Round-memo perf gate: memo replay must deliver >= 1.5x memo-off
+    # accesses/sec on the monitor loop under each RNG contract, even in
+    # quick mode (1.5 absorbs cold-memo and CI noise).
+    if memo_results is not None:
+        for mode in MEMO_MODES:
+            memo_speedup = memo_results[mode]["speedup"]
+            assert memo_speedup >= 1.5, (
+                f"round memo below 1.5x memo-off accesses/sec under "
+                f"rng={mode}: {memo_speedup:.2f}x"
+            )
     # Batch perf smoke: grouped dispatch must beat per-trial dispatch on
     # micro-trial campaign throughput (measured ~6x at batch=16; 1.5
     # absorbs CI noise); in-mode lockstep threading must stay a bounded
@@ -1005,11 +1027,8 @@ def run_perf(
                 "lane_evsets_per_sec": results["lanes"]["evsets_per_sec"],
             }
         )
-    if vec_results is not None:
-        out["vec_accesses_per_sec"] = vec_results["accesses_per_sec"]
-        out["vec_speedup"] = vec_results.get(
-            "speedup_vs_lanes", vec_results["speedup_vs_counter_lanes"]
-        )
+    if memo_results is not None:
+        out["round_memo_speedup"] = memo_results["min_speedup"]
     if construct_results is not None:
         out["construct_memo_speedup"] = construct_results["memo_speedup"]
         out["construct_evsets_per_sec"] = (
@@ -1028,13 +1047,30 @@ def bench_perf_memsys(run_once):
     run_once(run_perf, quick=True)
 
 
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(
+        description="Simulator throughput across the hot-path generations "
+        "(DESIGN.md 2.2-2.7); writes a JSON report and asserts the perf "
+        "gates.",
+    )
+    parser.add_argument(
+        "--quick", action="store_true",
+        help="shrink every workload for a CI smoke run (a few minutes)",
+    )
+    parser.add_argument(
+        "--stages", type=lambda v: v.split(","), default=None,
+        metavar="A,B,...",
+        help="comma-separated subset of: "
+        + ", ".join(ALL_COMPONENTS) + " (ref = reference); "
+        "default: all",
+    )
+    parser.add_argument(
+        "--out", default="BENCH_perf.json",
+        help="report path (default: %(default)s)",
+    )
+    args = parser.parse_args(argv)
+    run_perf(quick=args.quick, out_path=args.out, stages=args.stages)
+
+
 if __name__ == "__main__":
-    args = sys.argv[1:]
-    quick = "--quick" in args
-    stage_arg = None
-    if "--stages" in args:
-        idx = args.index("--stages")
-        if idx + 1 >= len(args):
-            raise SystemExit("--stages needs a comma-separated list")
-        stage_arg = args[idx + 1].split(",")
-    run_perf(quick=quick, stages=stage_arg)
+    main()

@@ -133,10 +133,12 @@ class AttackerContext:
         context must be used on the thread that first called this (the
         batch executor creates one context per trial per lane thread).
 
-        On counter-RNG machines the standalone bundle upgrades to
+        Every lane bundle memo-replays steady-state monitor rounds,
+        under either RNG contract (DESIGN.md §2.7).  On counter-RNG
+        machines the standalone bundle upgrades to
         :class:`~repro.memsys.vec.VecKernels` — identical results, with
-        monitor rounds memo-replayed (legal only under the event-keyed
-        draw contract; see DESIGN.md).
+        eviction tests memo-replayed as well (legal only under the
+        event-keyed draw contract; DESIGN.md §2.8).
         """
         kernels = self._lane_kernels
         if kernels is None:

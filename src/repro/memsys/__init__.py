@@ -21,12 +21,12 @@ from .batchplane import (
 from .cache import SetAssociativeCache
 from .hierarchy import CacheHierarchy, Level, NOISE_OWNER
 from .kernels import AttackKernels, PlaneRows, TranslationPlane, kernels_disabled
-from .lanes import HAVE_NUMPY, LaneKernels, lanes_disabled
+from .lanes import HAVE_NUMPY, LaneKernels, lanes_disabled, round_memo_disabled
 from .machine import Machine
 from .replacement import make_policy
 from .slice_hash import ComplexSliceHash, LinearSliceHash, make_slice_hash
 from .snapshot import MachineCheckpoint, checkpoint, checkpoint_key, restore
-from .vec import VecKernels, construct_memo_disabled, vec_disabled
+from .vec import VecKernels, construct_memo_disabled
 
 __all__ = [
     "AddressSpace",
@@ -54,9 +54,9 @@ __all__ = [
     "kernels_disabled",
     "restore",
     "lanes_disabled",
+    "round_memo_disabled",
     "run_batched",
     "stack_shared_planes",
-    "vec_disabled",
     "line_address",
     "make_policy",
     "make_slice_hash",

@@ -21,7 +21,9 @@ the plan proves dead:
   which drops the L1/L2/SF/LLC hit probes entirely (a freshly flushed
   distinct line misses everywhere, on the main and the helper core) and
   fuses the shared-mode SF install/transfer pair into its net stamp
-  effect.
+  effect;
+* steady-state monitor rounds replay from a memo keyed on the state
+  slice they read (:meth:`LaneKernels._monitor_round`, DESIGN.md §2.7).
 
 Why the lanes are *planes of facts* and not planes of state: the flat
 data plane keeps one recency counter per cache (``LRUTable._stamp`` /
@@ -93,6 +95,23 @@ def lanes_disabled():
         LANES_ENABLED = saved
 
 
+#: Kill switch for the monitor-round memo replay (the parity suites use it
+#: to run the same bundle live, proving replay == live bit for bit).
+ROUND_MEMO_ENABLED = True
+
+
+@contextmanager
+def round_memo_disabled():
+    """Temporarily run every monitor round live (no memo replay)."""
+    global ROUND_MEMO_ENABLED
+    saved = ROUND_MEMO_ENABLED
+    ROUND_MEMO_ENABLED = False
+    try:
+        yield
+    finally:
+        ROUND_MEMO_ENABLED = saved
+
+
 #: Memo sentinel: a tuple whose plan compiled to "not specializable"
 #: (duplicate lines) is remembered as None, distinct from "not compiled".
 _MISSING = object()
@@ -141,12 +160,99 @@ class LanePlan:
         self.l2_need = Counter(map(_L2SET, steps))
 
 
-class LaneKernels(AttackKernels):
-    """Plan-specialized kernels; every other method inherits from PR 3.
+def _tuple_getter(idx):
+    """An ``itemgetter`` that always returns a tuple (even for one index)."""
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda seq, _i=i: (seq[_i],)
+    return itemgetter(*idx)
 
-    Only ``flush_rows`` and ``traverse_kernel`` are overridden — the
-    monitors' prime/probe rounds walk resident lines (nothing is
-    provably dead there) and keep the inherited kernels.
+
+def _stamp_order(slots, pre, post, n_writes: int):
+    """Slots whose LRU stamp a round rewrote, in write order.
+
+    None when the round wrote some slot twice or outside ``slots`` (the
+    stamp counter moved by more than the changed slots account for):
+    then the final stamps alone do not determine the writes.
+    """
+    moved = [(b, s) for s, a, b in zip(slots, pre, post) if a != b]
+    if len(moved) != n_writes:
+        return None
+    moved.sort()
+    return tuple(s for _, s in moved)
+
+
+class _RoundGeometry:
+    """Precomputed index planes + recordings for one (vas, count, write).
+
+    ``entries`` maps a pre-state vector (the validated slice, as a tuple
+    of tuples) to the recorded post-state delta.  Steady-state monitoring
+    cycles through a tiny number of distinct pre-states per shape, so the
+    dict stays small; it is cleared wholesale if it ever grows past the
+    cap (state churn from an unusual workload).
+    """
+
+    __slots__ = (
+        "entries",
+        "l1_sets",
+        "l1_tag_ranges",
+        "l1_state_ranges",
+        "l1_slots",
+        "l1_pos_sets",
+        "g_l1",
+        "g_l1_state",
+        "l2_keys",
+        "l2_slots",
+        "g_l2",
+        "sf_slots",
+        "g_sf",
+    )
+
+    def __init__(self, rows, count: int, write: bool, l1, l2, sf) -> None:
+        w1 = l1.ways
+        l1_sets = sorted(set(rows.l1_sets[:count]))
+        self.l1_sets = l1_sets
+        self.l1_tag_ranges = [(s * w1, s * w1 + w1) for s in l1_sets]
+        self.l1_state_ranges = [(s * 7, s * 7 + 7) for s in l1_sets]
+        slots = [s * w1 + w for s in l1_sets for w in range(w1)]
+        self.l1_slots = slots
+        self.l1_pos_sets = [s for s in l1_sets for _ in range(w1)]
+        self.g_l1 = _tuple_getter(slots)
+        self.g_l1_state = _tuple_getter(
+            [s * 7 + k for s in l1_sets for k in range(7)]
+        )
+        self.l2_keys = rows.l2_keys[:count]
+        w2 = l2.ways
+        l2_slots = [
+            s * w2 + w for s in sorted(set(rows.l2_sets[:count]))
+            for w in range(w2)
+        ]
+        self.l2_slots = l2_slots
+        # LRU state stride == ways, so state indices coincide with slots
+        # (the getter reads the stamps a round writes).
+        self.g_l2 = _tuple_getter(l2_slots)
+        if write:
+            wsf = sf.ways
+            sf_slots = [
+                s * wsf + w for s in sorted(set(rows.shared_sets[:count]))
+                for w in range(wsf)
+            ]
+            self.sf_slots = sf_slots
+            self.g_sf = _tuple_getter(sf_slots)
+        else:
+            self.sf_slots = []
+            self.g_sf = None
+        self.entries: Dict[tuple, tuple] = {}
+
+
+class LaneKernels(AttackKernels):
+    """Plan-specialized kernels plus memo-replayed monitor rounds.
+
+    ``flush_rows`` and ``traverse_kernel`` run planned sweeps that skip
+    every provably dead probe.  ``_monitor_round`` replays steady-state
+    Prime+Probe rounds from a memo keyed on the state slice they read,
+    under either RNG contract (see the section comment below); a round
+    the memo cannot serve runs the inherited live kernel.
     """
 
     #: Plan memo bound.  Plans are pointer lists into the facts table;
@@ -159,21 +265,49 @@ class LaneKernels(AttackKernels):
     #: are a few hundred bytes).
     _FACTS_CAP = 1 << 17
 
-    __slots__ = ("_plans", "_facts")
+    #: Bound on distinct (vas, count, write) monitor-round shapes kept.
+    _VMEMO_CAP = 1024
+    #: Bound on recorded pre-states per round shape.
+    _ENTRY_CAP = 64
+
+    __slots__ = ("_plans", "_facts", "_vmemo", "_memo_ok", "_memo_hits",
+                 "_memo_misses", "_memo_live")
 
     def __init__(self, machine, plane, main_core: int = 0,
                  helper_core: int = 1) -> None:
         super().__init__(machine, plane, main_core, helper_core)
         self._plans: Dict[Tuple[Tuple[int, ...], int], object] = {}
         self._facts: Dict[int, tuple] = {}
+        self._vmemo: Dict[Tuple[Tuple[int, ...], int, bool],
+                          _RoundGeometry] = {}
+        self._memo_ok: Optional[bool] = None
+        self._memo_hits = 0
+        self._memo_misses = 0
+        self._memo_live = 0
 
     def engaged(self) -> bool:
         return HAVE_NUMPY and LANES_ENABLED and super().engaged()
 
     def invalidate_plans(self) -> None:
-        """Drop every compiled plan and fact (address-space change hook)."""
+        """Drop every compiled plan, fact and round recording
+        (address-space change hook)."""
         self._plans.clear()
         self._facts.clear()
+        self._vmemo.clear()
+
+    def round_memo_stats(self) -> Dict[str, int]:
+        """Monitor-round memo counters since this bundle was built.
+
+        ``hits`` rounds were replayed, ``misses`` ran live and were
+        offered for recording, ``live`` ran live because the memo's
+        precondition failed (policy shapes, kill switch).  Telemetry
+        only: no outcome, fingerprint or digest reads these.
+        """
+        return {
+            "hits": self._memo_hits,
+            "misses": self._memo_misses,
+            "live": self._memo_live,
+        }
 
     def _plan(self, rows: PlaneRows, count: int) -> Optional[LanePlan]:
         if count <= 2:  # not worth the key build (cf. TranslationPlane.rows)
@@ -1188,4 +1322,251 @@ class LaneKernels(AttackKernels):
         elapsed = lat_dram + count * miss_gap
         elapsed += m._preemption_penalty(elapsed)
         m.advance(elapsed)
+        return elapsed
+
+    # -- Monitor-round memo replay --------------------------------------------
+    #
+    # The steady-state Prime+Probe round (every line hits L1/L2, nothing
+    # else moves) is a pure function of a small, enumerable state slice:
+    #
+    # * the L1 tag/owner/state plane of the touched sets (tree-PLRU bits
+    #   are *read* on evictions, so they are validated raw),
+    # * the L2 slot of each line, or None (a hit round reads the L2 only
+    #   through these lookups; stamps are write-only: recency updates
+    #   never read existing stamp values),
+    # * the SF tags/owners of the congruent set (write rounds only; probe
+    #   rounds never consult the SF).
+    #
+    # Reconcile first: every round drains its due events and reconciles
+    # the congruent set's noise live, exactly where the live round does,
+    # and only then keys the memo on the slice.  The noise draws are
+    # therefore the live round's draws under either RNG contract, and
+    # whatever they inserted is part of the key.  A pure hit walk draws
+    # nothing else (L1 victims are silent, hits never reach the
+    # hierarchy RNG), so on a hit the recorded delta is the round; on a
+    # miss the live round runs, and its own reconcile is a draw-free
+    # no-op at the same clock.  Preemption is drawn live in both paths,
+    # and events due during the round run in ``advance`` after the walk,
+    # as they do live.
+    #
+    # LRU stamps are replayed *relative* to the current global stamp
+    # counter (the k-th written slot gets ``stamp_now + k``), never as
+    # absolute values: untouched slots keep drifting absolute stamps
+    # between record and replay while the within-round write order is
+    # invariant.  The L1 touched bits are not keyed: replay sets them on
+    # the filled sets, as the live fills do.
+
+    def _round_shapes_ok(self) -> bool:
+        """Memo gate: the flat plane with the policy shapes replay knows
+        (tree-PLRU8 L1, LRU L2/SF — the default microarchitecture)."""
+        if not AttackKernels.engaged(self):
+            return False
+        hier = self.hierarchy
+        l1 = hier.l1[self.main_core]
+        l2 = hier.l2[self.main_core]
+        return (
+            type(l1._pol) is TreePLRU8Table
+            and l1.ways == 8
+            and l2._lru is not None
+            and hier.sf._lru is not None
+        )
+
+    def _monitor_round(self, rows: PlaneRows, count: int, write: bool) -> int:
+        ok = self._memo_ok
+        if ok is None:
+            ok = self._memo_ok = self._round_shapes_ok()
+        if not ok or not ROUND_MEMO_ENABLED or not count:
+            self._memo_live += 1
+            return super()._monitor_round(rows, count, write)
+        m = self.machine
+        events = m._events
+        if events and events[0][0] <= m.now:
+            m._drain_events()
+        hier = self.hierarchy
+        noise = hier.noise_source
+        if noise is not None:
+            noise.reconcile(hier, rows.shared_sets[0], m.now)
+        l1 = hier.l1[self.main_core]
+        l2 = hier.l2[self.main_core]
+        sf = hier.sf
+        key = (rows.vas, count, write)
+        vmemo = self._vmemo
+        geom = vmemo.get(key)
+        if geom is None:
+            if len(vmemo) >= self._VMEMO_CAP:
+                vmemo.clear()
+            geom = _RoundGeometry(rows, count, write, l1, l2, sf)
+            vmemo[key] = geom
+        g_l1 = geom.g_l1
+        if write:
+            g_sf = geom.g_sf
+            pre = (
+                g_l1(l1._tags), g_l1(l1._owners), geom.g_l1_state(l1._state),
+                tuple(map(l2._where.get, geom.l2_keys)),
+                g_sf(sf._tags), g_sf(sf._owners),
+            )
+        else:
+            pre = (
+                g_l1(l1._tags), g_l1(l1._owners), geom.g_l1_state(l1._state),
+                tuple(map(l2._where.get, geom.l2_keys)),
+            )
+        rec = geom.entries.get(pre)
+        if rec is not None:
+            self._memo_hits += 1
+            return self._replay(m, hier, l1, l2, sf, count, rec)
+        self._memo_misses += 1
+        return self._record(rows, count, write, geom, pre, l1, l2, sf)
+
+    def _record(self, rows: PlaneRows, count: int, write: bool, geom, pre,
+                l1, l2, sf) -> int:
+        """Run the round live; capture its delta if it was a pure hit walk."""
+        m = self.machine
+        stats = self.hierarchy.stats
+        s0 = (
+            stats.accesses, stats.l1_hits, stats.l2_hits, stats.llc_hits,
+            stats.sf_transfers, stats.dram_fetches, stats.flushes,
+            stats.noise_insertions, stats.sf_back_invalidations,
+        )
+        p0 = (
+            l1.policy_touches, l1.policy_fills, l1.policy_victims,
+            l2.policy_touches, sf.policy_touches,
+        )
+        l2_stamp0 = l2._lru._stamp
+        sf_stamp0 = sf._lru._stamp
+        l2_state_pre = geom.g_l2(l2._state)
+        sf_state_pre = geom.g_sf(sf._state) if write else ()
+        ret = super()._monitor_round(rows, count, write)
+        d_acc = stats.accesses - s0[0]
+        d_h1 = stats.l1_hits - s0[1]
+        d_h2 = stats.l2_hits - s0[2]
+        # Purity detector: every fallback path in the fused round bumps at
+        # least one of these counters (misses, transfers, back-invals...),
+        # so "count accesses, all of them L1/L2 hits, nothing else moved"
+        # proves the round stayed on the inline hit walk.
+        if (
+            d_acc != count
+            or d_h1 + d_h2 != count
+            or stats.llc_hits != s0[3]
+            or stats.sf_transfers != s0[4]
+            or stats.dram_fetches != s0[5]
+            or stats.flushes != s0[6]
+            or stats.noise_insertions != s0[7]
+            or stats.sf_back_invalidations != s0[8]
+        ):
+            return ret
+        pre_t = pre[0]
+        post_t = geom.g_l1(l1._tags)
+        wdel = []
+        wadd = {}
+        filled = set()
+        n1 = l1.n_sets
+        slots = geom.l1_slots
+        psets = geom.l1_pos_sets
+        for i in range(len(slots)):
+            a = pre_t[i]
+            b = post_t[i]
+            if a != b:
+                # A changed tag is a fill (the line was absent).
+                filled.add(psets[i])
+                if a is not None:
+                    wdel.append(a * n1 + psets[i])
+                if b is not None:
+                    wadd[b * n1 + psets[i]] = slots[i]
+        l1_rows = tuple(
+            (s, a, b, l1._tags[a:b], l1._owners[a:b], c, e, l1._state[c:e],
+             l1._occ[s])
+            for s, (a, b), (c, e) in zip(
+                geom.l1_sets, geom.l1_tag_ranges, geom.l1_state_ranges)
+        )
+        l2w = _stamp_order(
+            geom.l2_slots, l2_state_pre, geom.g_l2(l2._state),
+            l2._lru._stamp - l2_stamp0,
+        )
+        if l2w is None:
+            return ret
+        if write:
+            sfw = _stamp_order(
+                geom.sf_slots, sf_state_pre, geom.g_sf(sf._state),
+                sf._lru._stamp - sf_stamp0,
+            )
+            if sfw is None:
+                return ret
+        else:
+            sfw = ()
+            if sf._lru._stamp != sf_stamp0:
+                return ret
+        # Base elapsed of a pure hit round, re-derived from the fused
+        # loop's arithmetic (the preemption penalty is drawn live at
+        # replay, so only the deterministic part is recorded).
+        lat = m.cfg.latency
+        worst = 0
+        if d_h1:
+            worst = lat.l1_hit
+        if d_h2 and lat.l2_hit > worst:
+            worst = lat.l2_hit
+        elapsed_base = worst + count * lat.hit_issue_gap
+        d = (
+            d_acc, d_h1, d_h2,
+            l1.policy_touches - p0[0],
+            l1.policy_fills - p0[1],
+            l1.policy_victims - p0[2],
+            l2.policy_touches - p0[3],
+            sf.policy_touches - p0[4],
+        )
+        entries = geom.entries
+        if len(entries) >= self._ENTRY_CAP:
+            entries.clear()
+        entries[pre] = (
+            l1_rows, tuple(wdel), wadd, tuple(sorted(filled)), l2w, sfw, d,
+            elapsed_base,
+        )
+        return ret
+
+    def _replay(self, m, hier, l1, l2, sf, count: int, rec) -> int:
+        """Apply a recorded pure round: O(touched slots), no per-line work."""
+        m.batch_calls += 1
+        m.batch_lines += count
+        l1_rows, wdel, wadd, filled, l2w, sfw, d, elapsed = rec
+        tags = l1._tags
+        owners = l1._owners
+        state = l1._state
+        occ = l1._occ
+        for s, a, b, tseg, oseg, c, e, sseg, n in l1_rows:
+            tags[a:b] = tseg
+            owners[a:b] = oseg
+            state[c:e] = sseg
+            occ[s] = n
+        where = l1._where
+        for k in wdel:
+            del where[k]
+        where.update(wadd)
+        touched = l1._touched
+        for s in filled:
+            if not touched[s]:
+                touched[s] = 1
+                l1._touched_count += 1
+        for cache, order in ((l2, l2w), (sf, sfw)):
+            if order:
+                lru = cache._lru
+                stamp = lru._stamp
+                st = cache._state
+                for s in order:
+                    stamp += 1
+                    st[s] = stamp
+                lru._stamp = stamp
+        stats = hier.stats
+        stats.accesses += d[0]
+        stats.l1_hits += d[1]
+        stats.l2_hits += d[2]
+        l1.policy_touches += d[3]
+        l1.policy_fills += d[4]
+        l1.policy_victims += d[5]
+        l2.policy_touches += d[6]
+        sf.policy_touches += d[7]
+        elapsed += m._preemption_penalty(elapsed)
+        events = m._events
+        if events and events[0][0] <= m.now + elapsed:
+            m.advance(elapsed)
+        else:
+            m.now += elapsed
         return elapsed

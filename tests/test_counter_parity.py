@@ -12,7 +12,9 @@ order.  These suites pin that promise:
 * golden fingerprints for the counter mode (captured from the unfused
   path — the vectorized tiers must reproduce them exactly, the same
   collapse-the-oracle-chain structure as ``tests/test_lane_parity.py``);
-* :class:`~repro.memsys.vec.VecKernels` replay-vs-live equivalence;
+* monitor-round memo replay against memo-off, with a running victim,
+  under both contracts (the memo lives in
+  :class:`~repro.memsys.lanes.LaneKernels`);
 * statistical sanity of the keyed draws (uniformity per stream,
   Poisson moments, scalar/vector agreement, order independence).
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
+from typing import Optional
 
 import pytest
 
@@ -38,7 +41,12 @@ from repro.core.evset.candidates import build_candidate_set
 from repro.core.evset.primitives import EvictionTester
 from repro.core.evset.types import EvictionSet
 from repro.core.monitor import ParallelProbing, PrimeScopeFlush, monitor_set
-from repro.memsys import kernels_disabled, lanes_disabled, vec_disabled
+from repro.memsys import (
+    LaneKernels,
+    kernels_disabled,
+    lanes_disabled,
+    round_memo_disabled,
+)
 from repro.memsys import lanes as lanesmod
 from repro.memsys.machine import Machine
 from repro.memsys.vec import VecKernels
@@ -51,6 +59,7 @@ from repro.rng import (
     CounterRng,
     resolve_rng_mode,
 )
+from repro.victim import EcdsaVictim, VictimConfig
 
 
 def _counter_cfg():
@@ -65,7 +74,7 @@ def _path_guard(path: str):
     if path == "kernels":
         return lanes_disabled()
     if path == "lanes":
-        return vec_disabled()
+        return round_memo_disabled()
     return contextlib.nullcontext()
 
 
@@ -107,21 +116,33 @@ class TestCounterFourWayParity:
 # --- Monitor parity (the loop memo-replay accelerates) ----------------------
 
 
-def _monitor_run(strategy_cls, path: str, seed: int = 31) -> dict:
+def _congruent_evset(ctx, machine, offset: int, tset: int) -> list:
+    """SF-ways lines at page offset ``offset`` in shared set ``tset``."""
+    vas = []
+    while len(vas) < machine.cfg.sf.ways:
+        for page in ctx.alloc_pages(32):
+            va = page + offset
+            if machine.hierarchy.shared_set_index(ctx.line(va)) == tset:
+                vas.append(va)
+    return vas[: machine.cfg.sf.ways]
+
+
+def _monitor_run(strategy_cls, path: str, seed: int = 31,
+                 memo_stats: Optional[dict] = None) -> dict:
+    """One monitored window with 15 scheduled foreign writes.
+
+    ``memo_stats``, when given, is filled with the lane bundle's
+    round-memo counters (kept out of the returned, fingerprinted dict).
+    """
     machine = Machine(_counter_cfg(), noise=cloud_run_noise(), seed=seed)
     ctx = AttackerContext(machine, seed=3)
     with _path_guard(path):
         ctx.calibrate()
         target_va = ctx.alloc_pages(1)[0] + 0x2C0
         tset = machine.hierarchy.shared_set_index(ctx.line(target_va))
-        vas = []
-        while len(vas) < machine.cfg.sf.ways:
-            for page in ctx.alloc_pages(32):
-                va = page + 0x2C0
-                if machine.hierarchy.shared_set_index(ctx.line(va)) == tset:
-                    vas.append(va)
         evset = EvictionSet(
-            kind="sf", vas=vas[: machine.cfg.sf.ways], target_va=target_va
+            kind="sf", vas=_congruent_evset(ctx, machine, 0x2C0, tset),
+            target_va=target_va,
         )
         space = machine.new_address_space()
         while True:
@@ -138,6 +159,8 @@ def _monitor_run(strategy_cls, path: str, seed: int = 31) -> dict:
         trace = monitor_set(
             strategy_cls(ctx, evset), duration_cycles=15 * interval + 30_000
         )
+    if memo_stats is not None:
+        memo_stats.update(ctx.lane_kernels().round_memo_stats())
     return {
         "trace": [trace.timestamps, trace.start, trace.end,
                   trace.probe_latencies, trace.prime_latencies],
@@ -150,32 +173,76 @@ def _monitor_run(strategy_cls, path: str, seed: int = 31) -> dict:
     ids=["parallel", "prime-scope"],
 )
 def test_monitor_four_way_parity(strategy_cls):
-    runs = {path: _monitor_run(strategy_cls, path) for path in PATHS}
+    memo = {}
+    runs = {
+        path: _monitor_run(strategy_cls, path,
+                           memo_stats=memo if path == "vec" else None)
+        for path in PATHS
+    }
     assert runs["vec"] == runs["lanes"]
     assert runs["lanes"] == runs["kernels"]
     assert runs["kernels"] == runs["unfused"]
+    if strategy_cls is ParallelProbing and lanesmod.HAVE_NUMPY:
+        # The scheduled writes keep events queued all window long; the
+        # memo must still serve the steady-state rounds between them.
+        assert memo["hits"] > memo["misses"] > 0
+        assert memo["live"] == 0
+
+
+def _victim_monitor_run(rng_mode: str, memo: bool):
+    """Parallel Probing on the set of a running ECDSA victim's monitored
+    line; returns (trace + machine digest, kernel bundle)."""
+    cfg = dataclasses.replace(skylake_sp_small(), rng_mode=rng_mode)
+    machine = Machine(cfg, noise=cloud_run_noise(), seed=31)
+    victim = EcdsaVictim(machine, core=2, cfg=VictimConfig(), seed=6)
+    ctx = AttackerContext(machine, seed=3)
+    with contextlib.nullcontext() if memo else round_memo_disabled():
+        ctx.calibrate()
+        mline = victim.layout.monitored_line
+        tset = machine.hierarchy.shared_set_index(mline)
+        offset = victim.layout.target_page_offset
+        vas = _congruent_evset(ctx, machine, offset, tset)
+        evset = EvictionSet(kind="sf", vas=vas, target_va=vas[0])
+        victim.run_continuously(machine.now + 1_000)
+        assert machine.pending_events()
+        trace = monitor_set(ParallelProbing(ctx, evset),
+                            duration_cycles=400_000)
+    run = {
+        "trace": [trace.timestamps, trace.start, trace.end,
+                  trace.probe_latencies, trace.prime_latencies],
+        **_machine_digest(machine),
+    }
+    return run, ctx.lane_kernels()
+
+
+def _assert_replay_engages(rng_mode: str, bundle_cls) -> None:
+    if not lanesmod.HAVE_NUMPY:
+        pytest.skip("lane kernels need NumPy")
+    run, kern = _victim_monitor_run(rng_mode, memo=True)
+    assert type(kern) is bundle_cls
+    stats = kern.round_memo_stats()
+    assert stats["hits"] > stats["misses"] > 0
+    assert stats["live"] == 0
+    assert run["trace"][0], "the victim's accesses must be detected"
+    live_run, live_kern = _victim_monitor_run(rng_mode, memo=False)
+    live_stats = live_kern.round_memo_stats()
+    assert live_stats["hits"] == live_stats["misses"] == 0
+    assert live_stats["live"] > 0
+    assert run == live_run
 
 
 def test_vec_replay_actually_engages():
     """The memo-replay path must fire on the steady-state monitor loop
-    (otherwise the vec tier silently degenerates to live lanes and the
-    parity above proves nothing about replay)."""
-    if not lanesmod.HAVE_NUMPY:
-        pytest.skip("vec tier needs NumPy")
-    machine = Machine(_counter_cfg(), noise=cloud_run_noise(), seed=31)
-    ctx = AttackerContext(machine, seed=3)
-    ctx.calibrate()
-    kern = ctx.lane_kernels()
-    assert type(kern) is VecKernels
-    cand = build_candidate_set(ctx, 0x2C0, size=machine.cfg.sf.ways)
-    evset = EvictionSet(
-        kind="sf", vas=list(cand.vas[:-1]), target_va=cand.vas[-1]
-    )
-    monitor_set(ParallelProbing(ctx, evset), duration_cycles=200_000)
-    replayed = sum(
-        len(geom.entries) > 0 for geom in kern._vmemo.values()
-    )
-    assert kern._vmemo and replayed > 0
+    with a running victim, whose next access is always queued as a
+    machine event (otherwise the replay silently degenerates to live
+    rounds and the parity above proves nothing about replay)."""
+    _assert_replay_engages("counter", VecKernels)
+
+
+def test_round_replay_engages_serial_contract():
+    """Serial twin: reconciling noise live before keying the memo makes
+    replay legal under the serial draw-order contract too."""
+    _assert_replay_engages("serial", LaneKernels)
 
 
 # --- Reference tier (fuzz oracle) -------------------------------------------

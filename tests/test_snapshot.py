@@ -50,7 +50,7 @@ from repro.memsys import (
     construct_memo_disabled,
     lanes_disabled,
     restore,
-    vec_disabled,
+    round_memo_disabled,
 )
 from repro.memsys.machine import Machine
 from repro.memsys.snapshot import SnapshotParityError, _machine_caches
@@ -66,7 +66,7 @@ def _runtime_guard(tier: str):
     if tier == "kernels":
         return lanes_disabled()
     if tier == "lanes":
-        return vec_disabled()
+        return round_memo_disabled()
     return contextlib.nullcontext()
 
 
