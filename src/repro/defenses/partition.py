@@ -66,6 +66,10 @@ class WayPartitionedCache:
             )
             for domain, ways in partitions.items()
         }
+        #: Background-tenant part, which carries the noise clocks.  Bound
+        #: as an object: ``flush_all`` and snapshot restore replace its
+        #: arrays but never the part itself.
+        self._other = self._parts[OTHER_DOMAIN]
 
     #: Whether one tag may legitimately be resident in several parts at
     #: once (copy-on-access designs set this; the invariant checker's
@@ -90,8 +94,12 @@ class WayPartitionedCache:
         return domain
 
     def _holding_part(self, set_idx: int, tag: int) -> Optional[SetAssociativeCache]:
+        # Inlined ``part.contains``: every part shares the geometry, so the
+        # ``_where`` key is computed once.  Read ``_where`` per call, never
+        # cache it: ``flush_all`` and snapshot restore replace the dict.
+        key = tag * self.n_sets + set_idx
         for part in self._parts.values():
-            if part.contains(set_idx, tag):
+            if key in part._where:
                 return part
         return None
 
@@ -115,7 +123,11 @@ class WayPartitionedCache:
         return [t for p in self._parts.values() for t in p.tags_in_set(set_idx)]
 
     def peek_victim(self, set_idx: int) -> Optional[int]:
-        """Best-effort: the eviction candidate of the fullest partition."""
+        """Best-effort: the last partition's eviction candidate.
+
+        Parts are scanned in declaration order and the last non-``None``
+        candidate wins (a part with a free way offers none).
+        """
         best = None
         for part in self._parts.values():
             candidate = part.peek_victim(set_idx)
@@ -164,13 +176,13 @@ class WayPartitionedCache:
     # (background insertions only ever land there).
 
     def noise_clock(self, set_idx: int) -> int:
-        return self._parts[OTHER_DOMAIN].noise_clock(set_idx)
+        return self._other.noise_clock(set_idx)
 
     def set_noise_clock(self, set_idx: int, now: int) -> None:
-        self._parts[OTHER_DOMAIN].set_noise_clock(set_idx, now)
+        self._other.set_noise_clock(set_idx, now)
 
     def exchange_noise_clock(self, set_idx: int, now: int) -> int:
-        return self._parts[OTHER_DOMAIN].exchange_noise_clock(set_idx, now)
+        return self._other.exchange_noise_clock(set_idx, now)
 
 
 def apply_way_partitioning(

@@ -84,6 +84,11 @@ class _RandomizedSharedCache:
         self.epoch_accesses = epoch_accesses
         self._accesses = 0
         self._ext: Dict[int, int] = {}
+        #: The part carrying the noise-clock plane (first of ``parts()``);
+        #: subclasses bind it once their planes exist.  The part object,
+        #: not its arrays: ``flush_all`` and a snapshot restore replace
+        #: those on the same object.
+        self._clock: SetAssociativeCache
 
     # -- placement hooks (subclass) -----------------------------------------
 
@@ -157,19 +162,16 @@ class _RandomizedSharedCache:
         return max(p.touched_sets for p in self.parts().values())
 
     # Noise clocks stay keyed by the external set (see module docstring);
-    # the first part carries the plane.
-
-    def _clock_part(self) -> SetAssociativeCache:
-        return next(iter(self.parts().values()))
+    # the first part (``_clock``) carries the plane.
 
     def noise_clock(self, set_idx: int) -> int:
-        return self._clock_part().noise_clock(set_idx)
+        return self._clock.noise_clock(set_idx)
 
     def set_noise_clock(self, set_idx: int, now: int) -> None:
-        self._clock_part().set_noise_clock(set_idx, now)
+        self._clock.set_noise_clock(set_idx, now)
 
     def exchange_noise_clock(self, set_idx: int, now: int) -> int:
-        return self._clock_part().exchange_noise_clock(set_idx, now)
+        return self._clock.exchange_noise_clock(set_idx, now)
 
     def bind_keyed_victims(self, crng, cache_id: int) -> None:
         """Counter-mode keyed-victim pass-through (distinct sub-ids)."""
@@ -267,6 +269,7 @@ class CeaserCache(_RandomizedSharedCache):
         self._inner = SetAssociativeCache(
             f"{name}[rand]", n_sets, ways, policy_name, rng
         )
+        self._clock = self._inner
 
     @property
     def epoch(self) -> int:
@@ -277,7 +280,7 @@ class CeaserCache(_RandomizedSharedCache):
 
     def _place(self, tag: int) -> int:
         """The keyed internal index of an address this epoch."""
-        return self._index.index_of(tag % self.n_sets, tag)
+        return self._index.place(tag)
 
     def _locate(self, tag: int):
         idx = self._place(tag)
@@ -322,9 +325,7 @@ class CeaserCache(_RandomizedSharedCache):
         return [self._index.epoch]
 
     def _set_epochs(self, epochs: List[int]) -> None:
-        index = self._index
-        index.epoch = epochs[0]
-        index._key = epoch_key(index._master, index.epoch)
+        self._index.set_epoch(epochs[0])
 
 
 class SkewedCache(_RandomizedSharedCache):
@@ -374,6 +375,7 @@ class SkewedCache(_RandomizedSharedCache):
             )
         self._select_master = derive_master_key(f"{name}#select", seed)
         self._select_key = epoch_key(self._select_master, 0)
+        self._clock = self._skews[0]
 
     @property
     def epoch(self) -> int:
@@ -384,7 +386,7 @@ class SkewedCache(_RandomizedSharedCache):
 
     def _place(self, skew: int, tag: int) -> int:
         """The keyed internal index of an address in ``skew`` this epoch."""
-        return self._indexes[skew].index_of(tag % self.n_sets, tag)
+        return self._indexes[skew].place(tag)
 
     def _locate(self, tag: int):
         for i, skew in enumerate(self._skews):
@@ -443,6 +445,5 @@ class SkewedCache(_RandomizedSharedCache):
 
     def _set_epochs(self, epochs: List[int]) -> None:
         for index, epoch in zip(self._indexes, epochs):
-            index.epoch = epoch
-            index._key = epoch_key(index._master, epoch)
+            index.set_epoch(epoch)
         self._select_key = epoch_key(self._select_master, epochs[0])

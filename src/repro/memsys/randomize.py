@@ -68,12 +68,22 @@ class KeyedSetIndex:
       rekey or remap never changes a cache's capacity balance;
     * epoch-sensitive — :meth:`rekey` draws a new working key, and a line
       whose image moved must be relocated or dropped by the caller.
+
+    :meth:`place` memoizes the address-keyed index per epoch; every key
+    change (:meth:`rekey`, :meth:`set_epoch`) clears the memo.
     """
 
-    __slots__ = ("n_sets", "epoch", "_master", "_key", "_hbits", "_hmask")
+    __slots__ = (
+        "n_sets", "epoch", "_master", "_key", "_hbits", "_hmask", "_memo",
+    )
 
     #: Feistel rounds; 4 suffice for full avalanche with a strong F.
     ROUNDS = 4
+
+    #: Entries the per-epoch :meth:`place` memo may hold before it is
+    #: dropped wholesale.  This bounds caches that rekey only manually;
+    #: an automatic epoch (4096 inserts by default) stays well below it.
+    MEMO_CAP = 1 << 16
 
     def __init__(self, n_sets: int, seed: int, label: str = "") -> None:
         if n_sets < 1:
@@ -86,26 +96,35 @@ class KeyedSetIndex:
         bits = max(2, (n_sets - 1).bit_length())
         self._hbits = (bits + 1) // 2
         self._hmask = (1 << self._hbits) - 1
+        #: tag -> ``index_of(tag % n_sets, tag)`` under the current key.
+        self._memo: dict = {}
 
     def rekey(self) -> int:
         """Advance to the next epoch key; returns the new epoch number."""
-        self.epoch += 1
-        self._key = epoch_key(self._master, self.epoch)
-        return self.epoch
+        return self.set_epoch(self.epoch + 1)
+
+    def set_epoch(self, epoch: int) -> int:
+        """Jump to ``epoch``'s working key (snapshot restore); returns it.
+
+        Every change of key goes through here, so the :meth:`place` memo
+        can never serve an index computed under another epoch.
+        """
+        self.epoch = epoch
+        self._key = epoch_key(self._master, epoch)
+        self._memo.clear()
+        return epoch
 
     def _permute(self, value: int, tweak: int) -> int:
-        left = value >> self._hbits
-        right = value & self._hmask
-        key = self._key
+        hbits = self._hbits
+        hmask = self._hmask
+        left = value >> hbits
+        right = value & hmask
+        # The key and the tag tweak are fixed across the rounds.
+        tweaked = self._key ^ ((tweak * _TAG_C) & _MASK)
         for rnd in range(self.ROUNDS):
-            f = _mix64(
-                key
-                ^ ((tweak * _TAG_C) & _MASK)
-                ^ ((right * _GOLDEN) & _MASK)
-                ^ rnd
-            ) & self._hmask
+            f = _mix64(tweaked ^ ((right * _GOLDEN) & _MASK) ^ rnd) & hmask
             left, right = right, left ^ f
-        return (left << self._hbits) | right
+        return (left << hbits) | right
 
     def index_of(self, set_idx: int, tag: int) -> int:
         """The keyed internal index for ``(set_idx, tag)`` this epoch."""
@@ -118,3 +137,18 @@ class KeyedSetIndex:
         while value >= n:
             value = self._permute(value, tag)
         return value
+
+    def place(self, tag: int) -> int:
+        """``index_of(tag % n_sets, tag)``, memoized for this epoch.
+
+        The index is a pure function of ``(epoch key, tag)`` and a keyed
+        cache asks for the same tag many times per epoch (locate, insert,
+        rekey), so results are kept until the key changes.
+        """
+        memo = self._memo
+        idx = memo.get(tag)
+        if idx is None:
+            if len(memo) >= self.MEMO_CAP:
+                memo.clear()
+            idx = memo[tag] = self.index_of(tag % self.n_sets, tag)
+        return idx

@@ -10,8 +10,9 @@ under *any* access schedule:
   plus copy-on-access semantics: a domain only ever touches its *own*
   copy of a line, and coherence removals clear every copy;
 * :class:`KeyedSetIndex` — the keyed index is a bijection on the set
-  range within any epoch (no two external sets alias internally), and
-  rekeying changes the map;
+  range within any epoch (no two external sets alias internally),
+  rekeying changes the map, and the per-epoch :meth:`~KeyedSetIndex.place`
+  memo never serves an index from another epoch;
 * :class:`CeaserCache` — rekey invalidates exactly the lines whose keyed
   index moved, and survivors remain locatable;
 * :class:`SkewedCache` — per-skew occupancy never exceeds the skew's way
@@ -204,6 +205,89 @@ def test_rekey_changes_the_map():
     before = [index.index_of(s, 1234) for s in range(64)]
     index.rekey()
     assert [index.index_of(s, 1234) for s in range(64)] != before
+
+
+class _SmallMemoIndex(KeyedSetIndex):
+    MEMO_CAP = 4
+
+
+#: op: (kind, arg) — kind 0 place(arg), 1 rekey(), 2 set_epoch(arg % 4).
+_index_ops = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 40)), max_size=80
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ops=_index_ops,
+    n_sets=st.integers(1, 24),
+    seed=st.integers(0, 2**16),
+    cls=st.sampled_from([KeyedSetIndex, _SmallMemoIndex]),
+)
+def test_keyed_place_memo_matches_index_of(ops, n_sets, seed, cls):
+    """``place`` is ``index_of(tag % n, tag)`` under the *current* key,
+    across any interleaving of rekeys, epoch jumps and placements, and
+    the memo stays within its cap."""
+    index = cls(n_sets, seed, label="prop")
+    for kind, arg in ops:
+        if kind == 0:
+            assert index.place(arg) == index.index_of(arg % n_sets, arg)
+        elif kind == 1:
+            index.rekey()
+        else:
+            index.set_epoch(arg % 4)
+        assert len(index._memo) <= cls.MEMO_CAP
+    for tag in range(41):
+        assert index.place(tag) == index.index_of(tag % n_sets, tag)
+
+
+def _index_at(n_sets: int, seed: int, label: str, epoch: int) -> KeyedSetIndex:
+    """A freshly built index advanced to ``epoch`` (empty memo)."""
+    index = KeyedSetIndex(n_sets, seed, label=label)
+    for _ in range(epoch):
+        index.rekey()
+    return index
+
+
+#: Tags placed (and memoized) in both epochs by the restore tests below;
+#: ``restore_extra`` restores only the wrapper state, so those tests
+#: check placement, not plane residency.
+_RESTORE_TAGS = range(40)
+
+
+def test_ceaser_restored_epoch_places_like_a_fresh_index():
+    n_sets, seed = 16, 5
+    cache = CeaserCache("LLC", n_sets, 4, "lru", make_rng(3), seed=seed)
+    for tag in _RESTORE_TAGS:
+        cache.insert(tag % n_sets, tag)
+    extra = cache.snapshot_extra()
+    cache.rekey()
+    fresh = _index_at(n_sets, seed, "LLC", 0)
+    epoch1 = [cache._place(tag) for tag in _RESTORE_TAGS]
+    epoch0 = [fresh.index_of(tag % n_sets, tag) for tag in _RESTORE_TAGS]
+    assert epoch1 != epoch0
+    cache.restore_extra(extra)
+    assert [cache._place(tag) for tag in _RESTORE_TAGS] == epoch0
+
+
+def test_skew_restored_epoch_places_like_a_fresh_index():
+    n_sets, seed = 16, 5
+    cache = SkewedCache(
+        "LLC", n_sets, 4, "lru", make_rng(9), seed=seed, n_skews=2
+    )
+    for tag in _RESTORE_TAGS:
+        cache.insert(tag % n_sets, tag)
+    extra = cache.snapshot_extra()
+    cache.rekey()
+    epoch0 = {}
+    for i in range(2):
+        fresh = _index_at(n_sets, seed, f"LLC#skew{i}", 0)
+        epoch1 = [cache._place(i, tag) for tag in _RESTORE_TAGS]
+        epoch0[i] = [fresh.index_of(tag % n_sets, tag) for tag in _RESTORE_TAGS]
+        assert epoch1 != epoch0[i]
+    cache.restore_extra(extra)
+    for i in range(2):
+        assert [cache._place(i, tag) for tag in _RESTORE_TAGS] == epoch0[i]
 
 
 #: op: (insert?, tag, owner) over a deliberately tiny address range so

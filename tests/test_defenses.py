@@ -24,6 +24,7 @@ from repro.defenses import (
 )
 from repro.defenses.partition import OTHER_DOMAIN
 from repro.errors import ConfigurationError
+from repro.memsys import snapshot
 from repro.memsys.machine import Machine
 from repro.memsys.randomize import KeyedSetIndex
 
@@ -87,6 +88,54 @@ class TestWayPartitionedCache:
         cache.insert(2, 2, owner=2)
         cache.insert(2, 3, owner=-1)  # noise -> other
         assert cache.occupancy(2) == 3
+
+
+class TestWayPartitionedLiveParts:
+    """The wrapper binds its part objects, never their ``_where`` dicts or
+    noise planes: ``flush_all`` and a snapshot restore replace those on
+    the same part objects, and every read must see the replacement."""
+
+    def _machine(self):
+        machine = Machine(tiny_machine(cores=3), noise=no_noise(), seed=4)
+        apply_way_partitioning(
+            machine,
+            {0: "att", 1: "att", 2: "vic"},
+            {"att": 2, "vic": 2, OTHER_DOMAIN: 2},
+        )
+        return machine
+
+    def test_reads_after_flush_all(self):
+        cache = self._machine().hierarchy.llc
+        cache.insert(3, 100, owner=0)
+        cache.insert(3, 101, owner=2)
+        cache.flush_all()
+        assert not cache.contains(3, 100)
+        assert cache.owner_of(3, 101) is None
+        assert not cache.remove(3, 100)
+        cache.insert(3, 100, owner=2)
+        assert cache.contains(3, 100)
+        assert cache.owner_of(3, 100) == 2
+        assert cache.remove(3, 100)
+        assert not cache.contains(3, 100)
+
+    def test_reads_after_snapshot_restore(self):
+        machine = self._machine()
+        cache = machine.hierarchy.llc
+        cache.insert(3, 100, owner=0)
+        cache.exchange_noise_clock(3, 40)
+        cp = snapshot.checkpoint(machine)
+        cache.remove(3, 100)
+        cache.insert(3, 102, owner=2)
+        cache.exchange_noise_clock(3, 90)
+        snapshot.restore(machine, cp)
+        assert cache.contains(3, 100)
+        assert cache.owner_of(3, 100) == 0
+        assert not cache.contains(3, 102)
+        assert cache.owner_of(3, 102) is None
+        assert cache.noise_clock(3) == 40
+        assert cache.remove(3, 100)
+        assert not cache.contains(3, 100)
+        assert not cache.remove(3, 102)
 
 
 class TestApplyPartitioning:
